@@ -18,7 +18,12 @@ from importlib import resources
 
 from . import __version__, modules, stable, strings
 from .fields import get_field
-from .presentation import ParseError, parse_presentation, validate_gentle
+from .presentation import (
+    ParseError,
+    PresentationError,
+    parse_presentation,
+    validate_gentle,
+)
 from .repetitive import WindowError, build_repetitive_window
 
 
@@ -46,6 +51,15 @@ class RunConfig:
 
 class CliError(Exception):
     pass
+
+
+# Every exception class the package defines; main reports each as one
+# ``error:`` line with exit status 2.
+ERRORS = (CliError, ParseError, PresentationError, WindowError,
+          modules.ModuleError, modules.DecomposeError,
+          strings.StringError, strings.ArInjectiveError,
+          strings.EnlargementError,
+          stable.TrichotomyError, stable.TheoremViolationError)
 
 
 def _write_artifact(out_dir: str, name: str, text: str):
@@ -277,11 +291,6 @@ def cmd_example4(cfg: RunConfig, check: bool):
     return 0
 
 
-def export_dot(component) -> str:
-    """Deterministic DOT text for a knitted component."""
-    return strings.component_dot(component)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="repstable",
@@ -324,20 +333,21 @@ def cmd_dispatch(cfg: RunConfig, check: bool = False) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.window[0] + 2 > args.window[1]:
-        print("error: window must span at least 3 degrees", file=sys.stderr)
-        return 2
-    if args.char and args.char < 2:
-        print("error: characteristic must be 0 or a prime", file=sys.stderr)
-        return 2
-    cfg = RunConfig(args.command, args.input, tuple(args.window),
-                    args.max_len, args.universe_dim, args.out,
-                    args.char, args.seed)
     try:
+        if args.window[0] + 2 > args.window[1]:
+            raise CliError("window must span at least 3 degrees")
+        try:
+            get_field(args.char)
+        except ValueError:
+            raise CliError("characteristic must be 0 or a prime, got %d"
+                           % args.char)
+        cfg = RunConfig(args.command, args.input, tuple(args.window),
+                        args.max_len, args.universe_dim, args.out,
+                        args.char, args.seed)
         return cmd_dispatch(cfg, args.check)
-    except (CliError, strings.StringError, modules.ModuleError,
-            stable.TheoremViolationError, WindowError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except ERRORS as exc:
+        print("error: %s" % "; ".join(str(exc).splitlines()),
+              file=sys.stderr)
         return 2
 
 

@@ -71,6 +71,10 @@ class RationalField:
     def fmt(self, x) -> str:
         return "%d/%d" % (x.numerator, x.denominator)
 
+    def order_key(self, x):
+        """A sort key for elements: the rational number itself."""
+        return x
+
     def __repr__(self) -> str:
         return "QQ"
 
@@ -105,6 +109,10 @@ class PrimeField:
 
     def fmt(self, x) -> str:
         return "%d/1" % x.v
+
+    def order_key(self, x):
+        """A sort key for elements: the representative in 0..p-1."""
+        return x.v
 
     def __repr__(self) -> str:
         return "GF(%d)" % self.characteristic

@@ -198,11 +198,3 @@ def trace(field, a):
     for i in range(len(a)):
         t = t + a[i][i]
     return t
-
-
-def mat_pow(field, a, k: int):
-    n, _ = shape(a)
-    out = identity(field, n)
-    for _ in range(k):
-        out = mat_mul(field, out, a)
-    return out

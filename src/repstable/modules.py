@@ -1,11 +1,24 @@
-"""Exact linear algebra over window representations.
+"""Exact linear algebra over quiver representations.
 
-A graded module is stored as a representation of the windowed quiver with
-relations: one exact matrix per arrow, acting column-on-the-right, so the
-matrix of a path is the product of its arrow matrices in reverse
-application order.  Morphisms are vertex-indexed block families commuting
-with every arrow action.  Everything is immutable after construction and
-all functions are pure.
+A representation is stored as one exact matrix per arrow, acting
+column-on-the-right, so the matrix of a path is the product of its arrow
+matrices in reverse application order.  Morphisms are vertex-indexed block
+families commuting with every arrow action.  Everything is immutable after
+construction and all functions are pure.
+
+Design rules; new code uses these shared paths instead of copying them:
+
+- :class:`RepView` is the one representation type.  A window module
+  (:class:`GradedModule`) is a RepView that also knows its window, and a
+  degree slice (:meth:`GradedModule.slice_view`, :meth:`ModuleMorphism.slice`)
+  is a RepView of the base quiver, so every algorithm here runs on both.
+- Every question "is there a morphism X with  ΣL∘X + ΣX∘R = rhs", each
+  unknown commuting, is one call of :func:`solve_morphisms`; Hom spaces
+  come from :func:`hom_basis`.  Both run on :class:`MorphismSystem`, whose
+  variable layout (vertex order, then row-major block entries) fixes every
+  basis and every particular solution.
+- Every sub- or quotient module given by a basis is built by
+  :func:`submodule` or :func:`quotient`.
 """
 
 from __future__ import annotations
@@ -32,40 +45,31 @@ class DecomposeError(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
+class QuiverTable:
+    """The vertices of one quiver, in the order that lays out every linear
+    system over it, and its arrows sorted by name.  Built once per quiver
+    and shared by every representation of it."""
+
+    def __init__(self, quiver, vertices):
+        self.quiver = quiver
+        self.vertices = tuple(vertices)
+        self.arrows = tuple(quiver.sorted_arrows())
+
+
 class RepView:
-    """A plain quiver-representation view: vertex names, arrows with
-    endpoints, dimensions and action matrices.  Both full window modules
-    and their degree slices reduce to this."""
+    """A representation of the quiver of ``table`` over an exact field:
+    vertex dimensions and arrow matrices, zero spaces and the matrices
+    touching them omitted."""
 
-    vertices: tuple
-    arrows: tuple  # (name, source, target)
-    dims: dict
-    acts: dict
-
-    def dim(self, v: str) -> int:
-        return self.dims.get(v, 0)
-
-    def act(self, name: str, src: str, tgt: str, fieldobj):
-        m = self.acts.get(name)
-        if m is None:
-            return linalg.zeros(fieldobj, self.dim(tgt), self.dim(src))
-        return m
-
-
-class GradedModule:
-    """Finitely supported representation of a repetitive window."""
-
-    def __init__(self, win, fieldobj, dims: dict, acts: dict, meta=None):
-        self.win = win
+    def __init__(self, table: QuiverTable, fieldobj, dims: dict, acts: dict):
+        self.table = table
         self.field = fieldobj
         self.dims = {v: d for v, d in dims.items() if d > 0}
-        q = win.presentation.quiver
+        arrows = table.quiver.arrows
         self.acts = {an: m for an, m in acts.items()
                      if m is not None
-                     and self.dims.get(q.arrows[an].source, 0)
-                     and self.dims.get(q.arrows[an].target, 0)}
-        self.meta = meta
+                     and self.dims.get(arrows[an].source, 0)
+                     and self.dims.get(arrows[an].target, 0)}
         self._key = None
 
     def dim(self, v: str) -> int:
@@ -74,36 +78,55 @@ class GradedModule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def act(self, name: str):
-        arr = self.win.presentation.quiver.arrows[name]
-        m = self.acts.get(name)
-        if m is None:
-            return linalg.zeros(self.field, self.dim(arr.target),
-                                self.dim(arr.source))
-        return m
-
-    def support_degrees(self) -> list:
-        return sorted({self.win.degree(v) for v in self.dims})
-
     def is_zero(self) -> bool:
         return not self.dims
 
     def sorted_support(self) -> list:
-        return sorted(self.dims, key=self.win.vertex_sort_key)
+        return [v for v in self.table.vertices if v in self.dims]
 
-    def eval_path(self, p: PathWord):
-        """Matrix of a window path acting on this module."""
-        q = self.win.presentation.quiver
-        m = linalg.identity(self.field, self.dim(p.source))
-        at = p.source
-        for an in p.arrows:
-            arr = q.arrows[an]
-            m = linalg.mat_mul(self.field, self.act(an), m)
-            at = arr.target
+    def act(self, name: str):
+        m = self.acts.get(name)
+        if m is None:
+            arr = self.table.quiver.arrows[name]
+            return linalg.zeros(self.field, self.dim(arr.target),
+                                self.dim(arr.source))
         return m
 
+    def eval_path(self, p: PathWord):
+        """Matrix of a path acting on this representation."""
+        m = linalg.identity(self.field, self.dim(p.source))
+        for an in p.arrows:
+            m = linalg.mat_mul(self.field, self.act(an), m)
+        return m
+
+    def key(self):
+        """Identity of the data, orderable in every characteristic."""
+        if self._key is None:
+            fkey = self.field.order_key
+            dims = tuple(sorted(self.dims.items()))
+            acts = tuple(sorted(
+                (an, tuple(tuple(fkey(x) for x in row) for row in m))
+                for an, m in self.acts.items()
+                if m and m[0]))
+            self._key = (dims, acts, repr(self.field))
+        return self._key
+
+
+class GradedModule(RepView):
+    """Finitely supported representation of a repetitive window: a RepView
+    of the window quiver that knows its window and carries construction
+    ``meta`` data."""
+
+    def __init__(self, win, fieldobj, dims: dict, acts: dict, meta=None):
+        super().__init__(win.table, fieldobj, dims, acts)
+        self.win = win
+        self.meta = meta
+
+    def support_degrees(self) -> list:
+        return sorted({self.win.degree(v) for v in self.dims})
+
     def validate(self):
-        q = self.win.presentation.quiver
+        q = self.table.quiver
         for v in self.dims:
             if v not in q.vertices:
                 raise ModuleError("unknown window vertex %r" % v)
@@ -124,41 +147,14 @@ class GradedModule:
                     raise ModuleError("binomial relation %s violated" % rel)
         return self
 
-    def key(self):
-        if self._key is None:
-            dims = tuple(sorted(self.dims.items()))
-            acts = tuple(sorted(
-                (an, tuple(tuple(row) for row in m))
-                for an, m in self.acts.items()
-                if m and m[0]))
-            self._key = (dims, acts, repr(self.field))
-        return self._key
-
-    def repview(self) -> RepView:
-        q = self.win.presentation.quiver
-        return RepView(tuple(self.win.sorted_vertices()),
-                       tuple((a.name, a.source, a.target)
-                             for a in q.sorted_arrows()),
-                       dict(self.dims), dict(self.acts))
-
     def slice_view(self, z: int) -> RepView:
         """The degree-``z`` part as a representation of the base quiver."""
-        bq = self.win.base.quiver
-        dims = {}
-        acts = {}
-        for v in sorted(bq.vertices):
-            d = self.dim(self.win.vname(v, z))
-            if d:
-                dims[v] = d
-        for a in bq.sorted_arrows():
-            an = self.win.aname(a.name, z)
-            if self.dim(self.win.vname(a.source, z)) and \
-                    self.dim(self.win.vname(a.target, z)):
-                acts[a.name] = self.act(an)
-        return RepView(tuple(sorted(bq.vertices)),
-                       tuple((a.name, a.source, a.target)
-                             for a in bq.sorted_arrows()),
-                       dims, acts)
+        win = self.win
+        table = win.base_table
+        return RepView(table, self.field,
+                       {v: self.dim(win.vname(v, z)) for v in table.vertices},
+                       {a.name: self.acts.get(win.aname(a.name, z))
+                        for a in table.arrows})
 
 
 def zero_module(win, fieldobj) -> GradedModule:
@@ -178,7 +174,7 @@ def reembed(m: GradedModule, new_win) -> GradedModule:
 
 
 class ModuleMorphism:
-    def __init__(self, source: GradedModule, target: GradedModule, blocks: dict):
+    def __init__(self, source: RepView, target: RepView, blocks: dict):
         self.source = source
         self.target = target
         norm = {}
@@ -204,11 +200,10 @@ class ModuleMorphism:
         return b
 
     def validate(self):
-        if self.source.win is not self.target.win:
-            raise ModuleError("morphism endpoints live on different windows")
+        if self.source.table is not self.target.table:
+            raise ModuleError("morphism endpoints live on different quivers")
         f = self.source.field
-        q = self.source.win.presentation.quiver
-        for a in q.sorted_arrows():
+        for a in self.source.table.arrows:
             lhs = linalg.mat_mul(f, self.block(a.target), self.source.act(a.name))
             rhs = linalg.mat_mul(f, self.target.act(a.name), self.block(a.source))
             if linalg.shape(lhs) == linalg.shape(rhs):
@@ -229,13 +224,14 @@ class ModuleMorphism:
         return sum(linalg.rank(f, self.block(v))
                    for v in self.blocks)
 
-    def slice_blocks(self, z: int) -> dict:
-        out = {}
-        for v in sorted(self.source.win.base.quiver.vertices):
-            vn = self.source.win.vname(v, z)
-            if self.source.dim(vn) and self.target.dim(vn):
-                out[v] = self.block(vn)
-        return out
+    def slice(self, z: int) -> "ModuleMorphism":
+        """The degree-``z`` component, a morphism of base-quiver
+        representations between the degree-``z`` slices."""
+        win = self.source.win
+        return ModuleMorphism(self.source.slice_view(z),
+                              self.target.slice_view(z),
+                              {v: self.block(win.vname(v, z))
+                               for v in win.base_table.vertices})
 
     def __add__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         blocks = {}
@@ -259,7 +255,7 @@ class ModuleMorphism:
                                for v, b in self.blocks.items()})
 
 
-def identity_morphism(m: GradedModule) -> ModuleMorphism:
+def identity_morphism(m: RepView) -> ModuleMorphism:
     return ModuleMorphism(m, m, {v: linalg.identity(m.field, d)
                                  for v, d in m.dims.items()})
 
@@ -279,7 +275,8 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
 
 class MorphismSystem:
     """Affine linear system whose unknowns are block families of morphisms
-    between representation views over a common quiver."""
+    between representations of one quiver; the engine behind
+    :func:`hom_basis` and :func:`solve_morphisms`."""
 
     def __init__(self, fieldobj):
         self.field = fieldobj
@@ -291,7 +288,7 @@ class MorphismSystem:
 
     def unknown(self, src: RepView, tgt: RepView) -> int:
         lay = {}
-        for v in src.vertices:
+        for v in src.table.vertices:
             r, c = tgt.dim(v), src.dim(v)
             if r and c:
                 lay[v] = (self.nvars, r, c)
@@ -307,9 +304,10 @@ class MorphismSystem:
     def require_commutes(self, idx: int):
         src, tgt = self.unknowns[idx]
         z = self.field.zero()
-        for name, u, w in src.arrows:
-            a_src = src.act(name, u, w, self.field)
-            a_tgt = tgt.act(name, u, w, self.field)
+        for arr in src.table.arrows:
+            name, u, w = arr.name, arr.source, arr.target
+            a_src = src.act(name)
+            a_tgt = tgt.act(name)
             rows_out = tgt.dim(w)
             cols_out = src.dim(u)
             for i in range(rows_out):
@@ -335,46 +333,35 @@ class MorphismSystem:
                         self.rows.append(row)
                         self.rhs.append(z)
 
-    def require_affine(self, terms, rhs_blocks, z_dims, w_dims, vertices):
+    def require_affine(self, terms, rhs: "ModuleMorphism"):
         """Add rows for  sum of terms == rhs, where each term is
-        ("L", L_blocks, idx) contributing L∘f or ("R", idx, R_blocks)
-        contributing f∘R; shapes per vertex are z_dims[v] x w_dims[v]."""
+        ("L", L, idx) contributing L∘f or ("R", R, idx) contributing f∘R
+        for the unknown f numbered idx."""
         zero = self.field.zero()
-        for v in vertices:
-            zr = z_dims.get(v, 0)
-            wc = w_dims.get(v, 0)
+        for v in rhs.target.table.vertices:
+            zr = rhs.target.dim(v)
+            wc = rhs.source.dim(v)
             if not zr or not wc:
                 continue
-            rhs_m = rhs_blocks.get(v)
+            rhs_m = rhs.blocks.get(v)
             for i in range(zr):
                 for j in range(wc):
                     row = [zero] * self.nvars
-                    for term in terms:
-                        if term[0] == "L":
-                            _, lblocks, idx = term
-                            lay = self.layout[idx].get(v)
-                            if lay is None:
-                                continue
-                            lm = lblocks.get(v)
-                            if lm is None:
-                                continue
-                            _, fr, fc = lay
+                    for side, known, idx in terms:
+                        lay = self.layout[idx].get(v)
+                        m = known.blocks.get(v)
+                        if lay is None or m is None:
+                            continue
+                        _, fr, fc = lay
+                        if side == "L":
                             for k in range(fr):
-                                cval = lm[i][k]
+                                cval = m[i][k]
                                 if cval:
                                     var = self._var(idx, v, k, j)
                                     row[var] = row[var] + cval
                         else:
-                            _, idx, rblocks = term
-                            lay = self.layout[idx].get(v)
-                            if lay is None:
-                                continue
-                            rm = rblocks.get(v)
-                            if rm is None:
-                                continue
-                            _, fr, fc = lay
                             for k in range(fc):
-                                cval = rm[k][j]
+                                cval = m[k][j]
                                 if cval:
                                     var = self._var(idx, v, i, k)
                                     row[var] = row[var] + cval
@@ -418,15 +405,38 @@ class MorphismSystem:
         return out
 
 
-def hom_basis(m: GradedModule, n: GradedModule) -> list:
+def hom_basis(m: RepView, n: RepView) -> list:
     """Basis of the space of module morphisms, from the exact solution of
     the commutation constraints."""
-    if m.win is not n.win:
-        raise ModuleError("hom_basis: modules live on different windows")
+    if m.table is not n.table:
+        raise ModuleError("hom_basis: representations of different quivers")
     sys = MorphismSystem(m.field)
-    idx = sys.unknown(m.repview(), n.repview())
+    idx = sys.unknown(m, n)
     sys.require_commutes(idx)
     return [ModuleMorphism(m, n, sol[idx]) for sol in sys.solution_space()]
+
+
+def solve_morphisms(rhs: ModuleMorphism, terms: list):
+    """One solution of  Σ L∘X + Σ X∘R = rhs  in commuting morphisms X, one
+    unknown per term, or None.  A term ("L", L) stands for L∘X with
+    X: rhs.source -> L.source; a term ("R", R) for X∘R with
+    X: R.target -> rhs.target.  Returns one morphism per term, in order."""
+    sys = MorphismSystem(rhs.source.field)
+    placed = []
+    for side, known in terms:
+        if side == "L":
+            idx = sys.unknown(rhs.source, known.source)
+        else:
+            idx = sys.unknown(known.target, rhs.target)
+        placed.append((side, known, idx))
+    for _, _, idx in placed:
+        sys.require_commutes(idx)
+    sys.require_affine(placed, rhs)
+    sol = sys.solve()
+    if sol is None:
+        return None
+    return [ModuleMorphism(src, tgt, blocks)
+            for (src, tgt), blocks in zip(sys.unknowns, sol)]
 
 
 @dataclass
@@ -436,65 +446,26 @@ class SplitReport:
     per_degree: dict  # z -> (component split mono, component split epi)
 
 
-def _slice_split(h: ModuleMorphism, z: int):
-    """Splitness of the degree-z component as a map of base-algebra
-    representations."""
-    sv = h.source.slice_view(z)
-    tv = h.target.slice_view(z)
-    blocks = h.slice_blocks(z)
-    fld = h.source.field
-
-    sys = MorphismSystem(fld)
-    g = sys.unknown(tv, sv)
-    sys.require_commutes(g)
-    ident = {v: linalg.identity(fld, sv.dim(v)) for v in sv.dims}
-    sys.require_affine([("R", g, blocks)], ident, sv.dims, sv.dims,
-                       sv.vertices)
-    mono = sys.solve() is not None
-
-    sys = MorphismSystem(fld)
-    g = sys.unknown(tv, sv)
-    sys.require_commutes(g)
-    ident = {v: linalg.identity(fld, tv.dim(v)) for v in tv.dims}
-    sys.require_affine([("L", blocks, g)], ident, tv.dims, tv.dims,
-                       tv.vertices)
-    epi = sys.solve() is not None
-    return mono, epi
-
-
 def is_split_mono(h: ModuleMorphism) -> bool:
-    fld = h.source.field
-    sv, tv = h.source.repview(), h.target.repview()
-    sys = MorphismSystem(fld)
-    g = sys.unknown(tv, sv)
-    sys.require_commutes(g)
-    ident = {v: linalg.identity(fld, sv.dim(v)) for v in sv.dims}
-    sys.require_affine([("R", g, h.blocks)], ident, sv.dims, sv.dims,
-                       sv.vertices)
-    return sys.solve() is not None
+    """Whether g∘h = id for some morphism g (``h`` may be a slice)."""
+    return solve_morphisms(identity_morphism(h.source), [("R", h)]) is not None
 
 
 def is_split_epi(h: ModuleMorphism) -> bool:
-    fld = h.source.field
-    sv, tv = h.source.repview(), h.target.repview()
-    sys = MorphismSystem(fld)
-    g = sys.unknown(tv, sv)
-    sys.require_commutes(g)
-    ident = {v: linalg.identity(fld, tv.dim(v)) for v in tv.dims}
-    sys.require_affine([("L", h.blocks, g)], ident, tv.dims, tv.dims,
-                       tv.vertices)
-    return sys.solve() is not None
+    """Whether h∘g = id for some morphism g (``h`` may be a slice)."""
+    return solve_morphisms(identity_morphism(h.target), [("L", h)]) is not None
 
 
 def splitness(h: ModuleMorphism) -> SplitReport:
     """Global and degreewise split mono / split epi decisions, each a
     single exact solvability question."""
-    mono = is_split_mono(h)
-    epi = is_split_epi(h)
     degrees = sorted(set(h.source.support_degrees())
                      | set(h.target.support_degrees()))
-    per_degree = {z: _slice_split(h, z) for z in degrees}
-    return SplitReport(mono, epi, per_degree)
+    per_degree = {}
+    for z in degrees:
+        hz = h.slice(z)
+        per_degree[z] = (is_split_mono(hz), is_split_epi(hz))
+    return SplitReport(is_split_mono(h), is_split_epi(h), per_degree)
 
 
 @dataclass
@@ -505,61 +476,58 @@ class KerCoker:
     coker_proj: ModuleMorphism
 
 
+def submodule(m: GradedModule, column_basis: dict):
+    """(sub, inclusion) for the submodule of ``m`` spanned at each vertex v
+    by the independent columns of ``column_basis[v]``, in that basis."""
+    fld = m.field
+    basis = {v: b for v, b in column_basis.items() if b and b[0]}
+    acts = {}
+    for a in m.table.arrows:
+        if a.source in basis and a.target in basis:
+            rhs = linalg.mat_mul(fld, m.act(a.name), basis[a.source])
+            x = linalg.solve(fld, basis[a.target], rhs)
+            if x is None:
+                raise ModuleError("span is not closed under %s" % a.name)
+            acts[a.name] = x
+    sub = GradedModule(m.win, fld, {v: len(b[0]) for v, b in basis.items()},
+                       acts)
+    return sub, ModuleMorphism(sub, m, basis)
+
+
+def quotient(m: GradedModule, row_basis: dict):
+    """(quotient, projection) for the quotient of ``m`` whose coordinates
+    at each vertex v are the independent rows of ``row_basis[v]``; their
+    joint kernel must be a submodule."""
+    fld = m.field
+    basis = {v: b for v, b in row_basis.items() if b}
+    acts = {}
+    for a in m.table.arrows:
+        if a.source in basis and a.target in basis:
+            rhs = linalg.mat_mul(fld, basis[a.target], m.act(a.name))
+            x = linalg.solve(fld, linalg.transpose(fld, basis[a.source]),
+                             linalg.transpose(fld, rhs))
+            if x is None:
+                raise ModuleError("action does not descend along %s"
+                                  % a.name)
+            acts[a.name] = linalg.transpose(fld, x)
+    quot = GradedModule(m.win, fld, {v: len(b) for v, b in basis.items()},
+                        acts)
+    return quot, ModuleMorphism(m, quot, basis)
+
+
 def kernel_cokernel(h: ModuleMorphism) -> KerCoker:
     fld = h.source.field
-    win = h.source.win
-    q = win.presentation.quiver
-
     kbasis = {}
-    for v in h.source.dims:
-        d = h.source.dim(v)
-        if h.target.dim(v) == 0:
-            vecs = [[fld.one() if i == j else fld.zero() for i in range(d)]
-                    for j in range(d)]
-        else:
-            vecs = linalg.nullspace(fld, h.block(v))
-        if vecs:
-            kbasis[v] = [[vec[i] for vec in vecs] for i in range(d)]
-    kdims = {v: len(b[0]) for v, b in kbasis.items()}
-    kacts = {}
-    for a in q.sorted_arrows():
-        sd, td = kdims.get(a.source, 0), kdims.get(a.target, 0)
-        if not sd or not td:
-            continue
-        rhs = linalg.mat_mul(fld, h.source.act(a.name), kbasis[a.source])
-        x = linalg.solve(fld, kbasis[a.target], rhs)
-        if x is None:
-            raise ModuleError("kernel is not closed under %s" % a.name)
-        kacts[a.name] = x
-    ker = GradedModule(win, fld, kdims, kacts)
-    ker_incl = ModuleMorphism(ker, h.source,
-                              {v: b for v, b in kbasis.items()})
-
+    for v, d in h.source.dims.items():
+        vecs = (linalg.nullspace(fld, h.block(v)) if h.target.dim(v)
+                else linalg.identity(fld, d))
+        kbasis[v] = linalg.transpose(fld, vecs)
     pbasis = {}
-    for v in h.target.dims:
-        d = h.target.dim(v)
-        if h.source.dim(v) == 0:
-            vecs = [[fld.one() if i == j else fld.zero() for i in range(d)]
-                    for j in range(d)]
-        else:
-            vecs = linalg.nullspace(fld, linalg.transpose(fld, h.block(v)))
-        if vecs:
-            pbasis[v] = [list(vec) for vec in vecs]
-    cdims = {v: len(rows) for v, rows in pbasis.items()}
-    cacts = {}
-    for a in q.sorted_arrows():
-        sd, td = cdims.get(a.source, 0), cdims.get(a.target, 0)
-        if not sd or not td:
-            continue
-        rhs = linalg.mat_mul(fld, pbasis[a.target], h.target.act(a.name))
-        pu_t = linalg.transpose(fld, pbasis[a.source])
-        x = linalg.solve(fld, pu_t, linalg.transpose(fld, rhs))
-        if x is None:
-            raise ModuleError("cokernel action does not descend along %s" % a.name)
-        cacts[a.name] = linalg.transpose(fld, x)
-    coker = GradedModule(win, fld, cdims, cacts)
-    coker_proj = ModuleMorphism(h.target, coker,
-                                {v: rows for v, rows in pbasis.items()})
+    for v, d in h.target.dims.items():
+        pbasis[v] = (linalg.nullspace(fld, linalg.transpose(fld, h.block(v)))
+                     if h.source.dim(v) else linalg.identity(fld, d))
+    ker, ker_incl = submodule(h.source, kbasis)
+    coker, coker_proj = quotient(h.target, pbasis)
     ker.validate()
     coker.validate()
     ker_incl.validate()
@@ -581,8 +549,7 @@ def socle_radical(m: GradedModule) -> SocRad:
     """Socle (joint kernel of all arrow actions), radical (sum of all arrow
     images, loops included) and top (quotient by the radical)."""
     fld = m.field
-    win = m.win
-    q = win.presentation.quiver
+    q = m.table.quiver
 
     soc_basis = {}
     for v in m.dims:
@@ -593,13 +560,11 @@ def socle_radical(m: GradedModule) -> SocRad:
             stacked = linalg.vstack(outs)
             vecs = linalg.nullspace(fld, stacked)
         else:
-            vecs = [[fld.one() if i == j else fld.zero()
-                     for i in range(m.dim(v))] for j in range(m.dim(v))]
+            vecs = linalg.identity(fld, m.dim(v))
         if vecs:
-            soc_basis[v] = [[vec[i] for vec in vecs]
-                            for i in range(m.dim(v))]
+            soc_basis[v] = linalg.transpose(fld, vecs)
     soc_dims = {v: len(b[0]) for v, b in soc_basis.items()}
-    soc = GradedModule(win, fld, soc_dims, {})
+    soc = GradedModule(m.win, fld, soc_dims, {})
     soc_incl = ModuleMorphism(soc, m, soc_basis)
 
     rad_basis = {}
@@ -607,22 +572,8 @@ def socle_radical(m: GradedModule) -> SocRad:
         ins = [m.act(a.name) for a in q.arrows_in(v) if m.dim(a.source)]
         ins = [a for a in ins if a and a[0]]
         if ins:
-            col = linalg.column_space_basis(fld, linalg.hstack(ins))
-            if col and col[0]:
-                rad_basis[v] = col
-    rad_dims = {v: len(b[0]) for v, b in rad_basis.items()}
-    rad_acts = {}
-    for a in q.sorted_arrows():
-        sd, td = rad_dims.get(a.source, 0), rad_dims.get(a.target, 0)
-        if not sd or not td:
-            continue
-        rhs = linalg.mat_mul(fld, m.act(a.name), rad_basis[a.source])
-        x = linalg.solve(fld, rad_basis[a.target], rhs)
-        if x is None:
-            raise ModuleError("radical is not closed under %s" % a.name)
-        rad_acts[a.name] = x
-    rad = GradedModule(win, fld, rad_dims, rad_acts)
-    rad_incl = ModuleMorphism(rad, m, rad_basis)
+            rad_basis[v] = linalg.column_space_basis(fld, linalg.hstack(ins))
+    rad, rad_incl = submodule(m, rad_basis)
 
     kc = kernel_cokernel(rad_incl)
     soc.validate()
@@ -719,18 +670,13 @@ def injective_hull(m: GradedModule):
         for i in range(tdim):
             prescribed[sv][i].append(target_col[i])
 
-    soc_cols = {v: sr.soc.dim(v) for v in sr.soc.dims}
-    sys = MorphismSystem(fld)
-    iota = sys.unknown(m.repview(), hull.repview())
-    sys.require_commutes(iota)
-    # iota ∘ socle inclusion  =  prescribed embedding of the socle.
-    sys.require_affine([("R", iota, sr.soc_incl.blocks)], prescribed,
-                       hull.dims, soc_cols, hull.repview().vertices)
-    sol = sys.solve()
+    # emb ∘ socle inclusion  =  prescribed embedding of the socle.
+    sol = solve_morphisms(ModuleMorphism(sr.soc, hull, prescribed),
+                          [("R", sr.soc_incl)])
     if sol is None:
         raise ModuleError("no extension of the socle embedding; "
                           "hull construction failed")
-    emb = ModuleMorphism(m, hull, sol[iota])
+    emb = sol[0]
     emb.validate()
     if emb.rank() != m.total_dim():
         raise ModuleError("hull embedding is not injective")
@@ -827,18 +773,21 @@ def check_ses(seq: ShortExactSeq) -> SesReport:
             if not ok:
                 exact_z = False
         degreewise[z] = exact_z
-        degree_splits[z] = _slice_split(f, z)[0]
+        degree_splits[z] = is_split_mono(f.slice(z))
     agree = global_exact == all(degreewise.values())
     return SesReport(global_exact, degreewise, degree_splits, agree, details)
 
 
 # -- isomorphism certificates and decomposition -----------------------------
 
-def find_isomorphism(a: GradedModule, b: GradedModule, tries: int = 30,
+def find_isomorphism(a: RepView, b: RepView, tries: int = 30,
                      seed: int = 11):
-    """An explicit isomorphism, or None.  Existence is decided on a basis
+    """An explicit isomorphism, or None.  Existence is searched on a basis
     of the Hom space: single basis elements first, then seeded random
-    combinations (dense in the invertible locus when one exists)."""
+    combinations (dense in the invertible locus when one exists).  A found
+    isomorphism is exact, but None only means the search failed: it does
+    not prove that a and b are non-isomorphic, least of all over GF(2) and
+    GF(3)."""
     if a.total_dim() != b.total_dim():
         return None
     if sorted(a.dims.items()) != sorted(b.dims.items()):
@@ -864,7 +813,7 @@ def find_isomorphism(a: GradedModule, b: GradedModule, tries: int = 30,
     return None
 
 
-def _radical_endo_subspace(m: GradedModule, endos: list):
+def _radical_endo_subspace(m: RepView, endos: list):
     """For an indecomposable module with local endomorphism algebra and
     scalar residue field, the radical is the trace-zero part."""
     fld = m.field
@@ -887,7 +836,7 @@ def _radical_endo_subspace(m: GradedModule, endos: list):
     return out
 
 
-def radical_hom(a: GradedModule, b: GradedModule):
+def radical_hom(a: RepView, b: RepView):
     """Spanning set of the radical of Hom(a, b) for indecomposable
     endpoints: everything if a and b are non-isomorphic, the trace-zero
     endomorphisms otherwise."""
@@ -933,31 +882,12 @@ def summand_witness(s: GradedModule, m: GradedModule):
 def _split_by_idempotent(m: GradedModule, incl, proj):
     """Complement of the summand im(incl∘proj) inside m."""
     fld = m.field
-    eps = compose(incl, proj)
-    ident = identity_morphism(m)
-    rest = ident - eps
-    kbasis = {}
-    for v in m.dims:
-        col = linalg.column_space_basis(fld, rest.block(v))
-        if col and col[0]:
-            kbasis[v] = col
-    kdims = {v: len(b[0]) for v, b in kbasis.items()}
-    kacts = {}
-    q = m.win.presentation.quiver
-    for a in q.sorted_arrows():
-        sd, td = kdims.get(a.source, 0), kdims.get(a.target, 0)
-        if not sd or not td:
-            continue
-        rhs = linalg.mat_mul(fld, m.act(a.name), kbasis[a.source])
-        x = linalg.solve(fld, kbasis[a.target], rhs)
-        if x is None:
-            raise ModuleError("complement not closed under %s" % a.name)
-        kacts[a.name] = x
-    comp = GradedModule(m.win, fld, kdims, kacts)
-    comp_incl = ModuleMorphism(comp, m, kbasis)
+    rest = identity_morphism(m) - compose(incl, proj)
+    comp, comp_incl = submodule(
+        m, {v: linalg.column_space_basis(fld, rest.block(v)) for v in m.dims})
     proj_blocks = {}
-    for v in kbasis:
-        x = linalg.solve(fld, kbasis[v], rest.block(v))
+    for v, b in comp_incl.blocks.items():
+        x = linalg.solve(fld, b, rest.block(v))
         if x is None:
             raise ModuleError("complement projection failed at %s" % v)
         proj_blocks[v] = x
@@ -972,7 +902,10 @@ def decompose(m: GradedModule, candidates=None, budget: int = 1000):
     modules of the window up to the ambient dimension plus the
     projective-injectives), peeling one certified summand at a time; a
     seeded sampling fallback splits anything the candidate list misses and
-    fails loudly when its budget runs out.
+    fails loudly when its budget runs out.  Every returned summand comes
+    with exact inclusion and projection maps, but a piece the fallback
+    leaves whole is only not split by the random endomorphisms it drew,
+    which does not prove it indecomposable.
     """
     if m.total_dim() == 0:
         return []
@@ -1017,27 +950,10 @@ def decompose(m: GradedModule, candidates=None, budget: int = 1000):
             rk = power.rank()
             if rk == 0 or rk == n:
                 continue
-            imb = {}
-            for v in current.dims:
-                col = linalg.column_space_basis(fld, power.block(v))
-                if col and col[0]:
-                    imb[v] = col
             # Treat the image of the stabilized power as a summand.
-            idims = {v: len(b[0]) for v, b in imb.items()}
-            iacts = {}
-            q = current.win.presentation.quiver
-            for a in q.sorted_arrows():
-                sd, td = idims.get(a.source, 0), idims.get(a.target, 0)
-                if not sd or not td:
-                    continue
-                rhs = linalg.mat_mul(fld, current.act(a.name), imb[a.source])
-                x = linalg.solve(fld, imb[a.target], rhs)
-                if x is None:
-                    raise ModuleError("image of an endomorphism power is "
-                                      "not a submodule")
-                iacts[a.name] = x
-            part = GradedModule(current.win, fld, idims, iacts)
-            u = ModuleMorphism(part, current, imb)
+            part, _ = submodule(current, {
+                v: linalg.column_space_basis(fld, power.block(v))
+                for v in current.dims})
             pr = summand_witness(part, current)
             if pr is None:
                 continue
@@ -1058,10 +974,6 @@ def decompose(m: GradedModule, candidates=None, budget: int = 1000):
     if total != m.total_dim():
         raise ModuleError("decomposition lost dimensions")
     return result
-
-
-def is_indecomposable(m: GradedModule) -> bool:
-    return len(decompose(m)) == 1
 
 
 # -- serialization -----------------------------------------------------------

@@ -24,7 +24,7 @@ from .presentation import (
     RelationGen,
     validate_gentle,
 )
-from . import modules
+from . import linalg, modules
 
 
 class WindowError(Exception):
@@ -166,6 +166,8 @@ class RepetitiveWindow:
                 self._ainfo[cn] = ("conn", p, z)
 
         quiver = Quiver(tuple(vertices), arrows)
+        self.table = modules.QuiverTable(quiver, vertices)
+        self.base_table = modules.QuiverTable(base_q, sorted(base_q.vertices))
         relations = []
 
         def conn_word(p, z):
@@ -381,22 +383,38 @@ def proj_injective_module(win: RepetitiveWindow, v: str, z: int,
     return win.projective(v, z, field)
 
 
-def radical_of_projective(phat: "modules.GradedModule"):
-    """The radical of an indecomposable window projective together with its
-    inclusion; the upper-degree blocks of the inclusion are identities."""
+def _check_projective(phat):
     if phat.meta is None or "projective" not in phat.meta:
         raise WindowError("input is not an indecomposable window projective")
-    win, field = phat.win, phat.field
-    basis = phat.meta["basis"]
-    keep = [p for p in basis if len(p) >= 1]
-    return _path_submodule(phat, keep, "radical")
+
+
+def _unit_rows_except(m, vertex, index):
+    """Per vertex, the unit coordinate rows of every basis position of
+    ``m`` except position ``index`` at ``vertex``."""
+    one, zero = m.field.one(), m.field.zero()
+    return {v: [[one if i == k else zero for i in range(d)]
+                for k in range(d) if (v, k) != (vertex, index)]
+            for v, d in m.dims.items()}
+
+
+def radical_of_projective(phat: "modules.GradedModule"):
+    """The radical of an indecomposable window projective together with its
+    inclusion: every basis path but the trivial one, which comes first at
+    the top vertex."""
+    _check_projective(phat)
+    top = phat.win.vname(*phat.meta["projective"])
+    rows = _unit_rows_except(phat, top, 0)
+    sub, incl = modules.submodule(
+        phat, {v: linalg.transpose(phat.field, r) for v, r in rows.items()})
+    sub.validate()
+    incl.validate()
+    return sub, incl
 
 
 def quotient_by_socle(phat: "modules.GradedModule"):
     """The quotient of a window projective by its simple socle, with the
     natural projection."""
-    if phat.meta is None or "projective" not in phat.meta:
-        raise WindowError("input is not an indecomposable window projective")
+    _check_projective(phat)
     sr = modules.socle_radical(phat)
     if sr.soc.total_dim() != 1:
         raise WindowError("projective socle is not simple")
@@ -405,75 +423,9 @@ def quotient_by_socle(phat: "modules.GradedModule"):
     hot = [i for i, x in enumerate(column) if x]
     if len(hot) != 1:
         raise WindowError("socle is not spanned by a single basis path")
-    full_at = _order_at(phat, phat.meta["basis"])
-    dropped = full_at[socle_vertex][hot[0]]
-    keep = [p for p in phat.meta["basis"] if p is not dropped]
-    return _path_quotient(phat, keep, dropped)
-
-
-def _order_at(phat, basis):
-    pres = phat.win.presentation
-    at = {}
-    for p in basis:
-        at.setdefault(p.target(pres.quiver), []).append(p)
-    return at
-
-
-def _path_submodule(phat, keep, tag):
-    field = phat.field
-    pres = phat.win.presentation
-    full_at = _order_at(phat, phat.meta["basis"])
-    keep_at = _order_at(phat, keep)
-    dims = {v: len(ps) for v, ps in keep_at.items()}
-    acts = {}
-    for an, arr in pres.quiver.arrows.items():
-        sd, td = dims.get(arr.source, 0), dims.get(arr.target, 0)
-        if sd == 0 or td == 0:
-            continue
-        big = phat.act(an)
-        rows = [full_at[arr.target].index(p) for p in keep_at[arr.target]]
-        cols = [full_at[arr.source].index(p) for p in keep_at[arr.source]]
-        acts[an] = [[big[i][j] for j in cols] for i in rows]
-    sub = modules.GradedModule(phat.win, field, dims, acts,
-                               meta={"path_sub": tag, "basis": tuple(keep)})
-    sub.validate()
-    blocks = {}
-    for v, ps in keep_at.items():
-        blk = [[field.zero() for _ in ps] for _ in range(phat.dim(v))]
-        for j, p in enumerate(ps):
-            blk[full_at[v].index(p)][j] = field.one()
-        blocks[v] = blk
-    incl = modules.ModuleMorphism(sub, phat, blocks)
-    incl.validate()
-    return sub, incl
-
-
-def _path_quotient(phat, keep, dropped):
-    field = phat.field
-    pres = phat.win.presentation
-    full_at = _order_at(phat, phat.meta["basis"])
-    keep_at = _order_at(phat, keep)
-    dims = {v: len(ps) for v, ps in keep_at.items()}
-    acts = {}
-    for an, arr in pres.quiver.arrows.items():
-        sd, td = dims.get(arr.source, 0), dims.get(arr.target, 0)
-        if sd == 0 or td == 0:
-            continue
-        big = phat.act(an)
-        rows = [full_at[arr.target].index(p) for p in keep_at[arr.target]]
-        cols = [full_at[arr.source].index(p) for p in keep_at[arr.source]]
-        acts[an] = [[big[i][j] for j in cols] for i in rows]
-    quot = modules.GradedModule(phat.win, field, dims, acts,
-                                meta={"path_quotient": True,
-                                      "basis": tuple(keep)})
+    quot, proj = modules.quotient(
+        phat, _unit_rows_except(phat, socle_vertex, hot[0]))
     quot.validate()
-    blocks = {}
-    for v, ps in keep_at.items():
-        blk = [[field.zero() for _ in range(phat.dim(v))] for _ in ps]
-        for i, p in enumerate(ps):
-            blk[i][full_at[v].index(p)] = field.one()
-        blocks[v] = blk
-    proj = modules.ModuleMorphism(phat, quot, blocks)
     proj.validate()
     return quot, proj
 

@@ -62,17 +62,10 @@ def factor_through_projinj(h: "modules.ModuleMorphism"):
             modules.ModuleMorphism(h.source, h.target, {}))
     h = ensure_morphism_margin(h)
     hull, iota = modules.injective_hull(h.source)
-    fld = h.source.field
-    sys = modules.MorphismSystem(fld)
-    v = sys.unknown(hull.repview(), h.target.repview())
-    sys.require_commutes(v)
-    sys.require_affine([("R", v, iota.blocks)], h.blocks,
-                       h.target.dims, h.source.dims,
-                       hull.repview().vertices)
-    sol = sys.solve()
+    sol = modules.solve_morphisms(h, [("R", iota)])
     if sol is None:
         return None
-    descent = modules.ModuleMorphism(hull, h.target, sol[v])
+    descent = sol[0]
     descent.validate()
     return hull, iota, descent
 
@@ -199,34 +192,21 @@ def triangle_from_ses(seq: "modules.ShortExactSeq") -> Triangle:
         f = _reembed_morphism(seq.f, m.win)
         g = _reembed_morphism(seq.g, m.win)
         seq = modules.ShortExactSeq(f, g, seq.meta)
-    fld = seq.f.source.field
     hull, iota = modules.injective_hull(seq.f.source)
     kc = modules.kernel_cokernel(iota)
     omega, pi = kc.coker, kc.coker_proj
 
-    sys = modules.MorphismSystem(fld)
-    u = sys.unknown(seq.f.target.repview(), hull.repview())
-    sys.require_commutes(u)
-    sys.require_affine([("R", u, seq.f.blocks)], iota.blocks,
-                       hull.dims, seq.f.source.dims,
-                       hull.repview().vertices)
-    sol = sys.solve()
+    sol = modules.solve_morphisms(iota, [("R", seq.f)])
     if sol is None:
         raise modules.ModuleError("hull embedding does not extend along f")
-    umap = modules.ModuleMorphism(seq.f.target, hull, sol[u])
+    umap = sol[0]
     umap.validate()
 
     piu = modules.compose(pi, umap)
-    sys = modules.MorphismSystem(fld)
-    w = sys.unknown(seq.g.target.repview(), omega.repview())
-    sys.require_commutes(w)
-    sys.require_affine([("R", w, seq.g.blocks)], piu.blocks,
-                       omega.dims, seq.g.source.dims,
-                       omega.repview().vertices)
-    sol = sys.solve()
+    sol = modules.solve_morphisms(piu, [("R", seq.g)])
     if sol is None:
         raise modules.ModuleError("connecting morphism does not descend")
-    hpp = modules.ModuleMorphism(seq.g.target, omega, sol[w])
+    hpp = sol[0]
     hpp.validate()
 
     # Exact verification of the ladder squares.
@@ -372,73 +352,19 @@ class ArAxiomReport:
     details: list = field(default_factory=list)
 
 
-def _factors_through_left(v, f):
-    """Solve v = u ∘ f for u."""
-    fld = f.source.field
-    sys = modules.MorphismSystem(fld)
-    u = sys.unknown(f.target.repview(), v.target.repview())
-    sys.require_commutes(u)
-    sys.require_affine([("R", u, f.blocks)], v.blocks,
-                       v.target.dims, f.source.dims,
-                       f.target.repview().vertices)
-    return sys.solve() is not None
-
-
-def _factors_through_right(u, g):
-    """Solve u = g ∘ w for w."""
-    fld = g.source.field
-    sys = modules.MorphismSystem(fld)
-    w = sys.unknown(u.source.repview(), g.source.repview())
-    sys.require_commutes(w)
-    sys.require_affine([("L", g.blocks, w)], u.blocks,
-                       g.target.dims, u.source.dims,
-                       g.target.repview().vertices)
-    return sys.solve() is not None
-
-
-def _stably_factors_through_right(u, g):
-    """Solve u = g∘w + d∘ι (the triangle version, modulo maps through the
-    hull of the source)."""
-    fld = g.source.field
-    src = u.source
-    if src.is_zero():
+def _stably_solvable(rhs, side, known) -> bool:
+    """Whether rhs = L∘X (side "L") or rhs = X∘R (side "R"), with ``known``
+    as L or R, up to a map d∘ι through the injective hull ι of rhs.source:
+    the triangle version of factoring."""
+    if rhs.source.is_zero():
         return True
-    src = ensure_module_margin(src)
-    if src.win is not u.source.win:
-        u = _reembed_morphism(u, src.win)
-        g = _reembed_morphism(g, src.win)
-    hull, iota = modules.injective_hull(u.source)
-    sys = modules.MorphismSystem(fld)
-    w = sys.unknown(u.source.repview(), g.source.repview())
-    d = sys.unknown(hull.repview(), g.target.repview())
-    sys.require_commutes(w)
-    sys.require_commutes(d)
-    sys.require_affine([("L", g.blocks, w), ("R", d, iota.blocks)],
-                       u.blocks, g.target.dims, u.source.dims,
-                       g.target.repview().vertices)
-    return sys.solve() is not None
-
-
-def _stably_factors_through_left(v, f):
-    """Solve v = u∘f + d∘ι_M (maps out of the start, modulo the hull)."""
-    fld = f.source.field
-    src = f.source
-    if src.is_zero():
-        return True
-    src2 = ensure_module_margin(src)
-    if src2.win is not src.win:
-        f = _reembed_morphism(f, src2.win)
-        v = _reembed_morphism(v, src2.win)
-    hull, iota = modules.injective_hull(f.source)
-    sys = modules.MorphismSystem(fld)
-    u = sys.unknown(f.target.repview(), v.target.repview())
-    d = sys.unknown(hull.repview(), v.target.repview())
-    sys.require_commutes(u)
-    sys.require_commutes(d)
-    sys.require_affine([("R", u, f.blocks), ("R", d, iota.blocks)],
-                       v.blocks, v.target.dims, f.source.dims,
-                       v.target.repview().vertices)
-    return sys.solve() is not None
+    src = ensure_module_margin(rhs.source)
+    if src.win is not rhs.source.win:
+        rhs = _reembed_morphism(rhs, src.win)
+        known = _reembed_morphism(known, src.win)
+    hull, iota = modules.injective_hull(rhs.source)
+    return modules.solve_morphisms(
+        rhs, [(side, known), ("R", iota)]) is not None
 
 
 def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
@@ -457,7 +383,7 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
         for v in modules.hom_basis(f.source, x):
             if modules.is_split_mono(v):
                 continue
-            if not _factors_through_left(v, f):
+            if modules.solve_morphisms(v, [("R", f)]) is None:
                 report.ars1 = False
                 report.details.append(
                     "map to %s does not factor through the middle"
@@ -466,7 +392,7 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
         for u in modules.hom_basis(x, g.target):
             if modules.is_split_epi(u):
                 continue
-            if not _factors_through_right(u, g):
+            if modules.solve_morphisms(u, [("L", g)]) is None:
                 report.ars2 = False
                 report.details.append(
                     "map from %s does not lift through the middle"
@@ -489,13 +415,13 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
         for u in modules.hom_basis(x, g.target):
             if modules.is_split_epi(u):
                 continue
-            if not _stably_factors_through_right(u, g):
+            if not _stably_solvable(u, "L", g):
                 art3 = False
                 break
         for v in modules.hom_basis(f.source, x):
             if modules.is_split_mono(v):
                 continue
-            if not _stably_factors_through_left(v, f):
+            if not _stably_solvable(v, "R", f):
                 art3s = False
                 break
     report.art3 = art3
@@ -649,123 +575,14 @@ def verify_shape_table(tri: Triangle, phat_info=None, universe=None,
 
 # -- degree-slice irreducibility ------------------------------------------------
 
-def _view_hom_basis(fld, a, b):
-    sys = modules.MorphismSystem(fld)
-    idx = sys.unknown(a, b)
-    sys.require_commutes(idx)
-    return [sol[idx] for sol in sys.solution_space()]
-
-
-def _view_blocks_flat(a, b, blocks):
-    vec = []
-    for v in sorted(set(a.dims) & set(b.dims)):
-        blk = blocks.get(v)
-        r, c = b.dim(v), a.dim(v)
-        for i in range(r):
-            for j in range(c):
-                vec.append(blk[i][j] if blk is not None else None)
-    return vec
-
-
-def _view_invertible(fld, a, b, blocks):
-    if sorted(a.dims.items()) != sorted(b.dims.items()):
-        return False
-    return all(linalg.is_invertible(fld, blocks.get(v) or
-                                    linalg.zeros(fld, b.dim(v), a.dim(v)))
-               for v in a.dims)
-
-
-def _view_radical_hom(fld, a, b):
-    """Spanning set of the non-isomorphism part of Hom between two
-    indecomposable representation views (trace-zero trick when they are
-    isomorphic)."""
-    basis = _view_hom_basis(fld, a, b)
-    if not basis:
-        return []
-    if sorted(a.dims.items()) != sorted(b.dims.items()):
-        return basis
-    iso = None
-    for blk in basis:
-        if _view_invertible(fld, a, b, blk):
-            iso = blk
-            break
-    if iso is None:
-        import random as _random
-        rng = _random.Random(7)
-        for _ in range(20):
-            combo = {}
-            for v in a.dims:
-                acc = linalg.zeros(fld, b.dim(v), a.dim(v))
-                for blk in basis:
-                    c = fld.of_int(rng.randrange(0, 7))
-                    if v in blk:
-                        acc = linalg.mat_add(acc, linalg.mat_scale(c, blk[v]))
-                combo[v] = acc
-            if _view_invertible(fld, a, b, combo):
-                iso = combo
-                break
-    if iso is None:
-        return basis
-    total = sum(a.dims.values())
-    if fld.characteristic and total % fld.characteristic == 0:
-        raise modules.ModuleError("slice dimension divisible by the "
-                                  "characteristic; trace trick unavailable")
-    inv = {v: linalg.inverse(fld, iso[v]) for v in a.dims}
-    out = []
-    for blk in basis:
-        endo = {v: linalg.mat_mul(fld, inv[v], blk.get(v) or
-                                  linalg.zeros(fld, b.dim(v), a.dim(v)))
-                for v in a.dims}
-        tr = fld.zero()
-        for v in a.dims:
-            tr = tr + linalg.trace(fld, endo[v])
-        scal = tr / fld.of_int(total)
-        rad_endo = {}
-        for v in a.dims:
-            ident = linalg.identity(fld, a.dim(v))
-            rad_endo[v] = linalg.mat_sub(endo[v], linalg.mat_scale(scal, ident))
-        out.append({v: linalg.mat_mul(fld, iso[v], rad_endo[v])
-                    for v in a.dims})
-    return out
-
-
 def slice_component_irreducible(h, z, universe_len: int = 6) -> bool:
     """Certify that the degree-z component of a morphism, viewed over the
     base algebra, is irreducible: neither split nor in the span of
     composites of non-isomorphisms through base string modules."""
-    fld = h.source.field
-    mono, epi = modules._slice_split(h, z)
-    if mono or epi:
+    hz = h.slice(z)
+    if modules.is_split_mono(hz) or modules.is_split_epi(hz):
         return False
-    a = h.source.slice_view(z)
-    b = h.target.slice_view(z)
-    blocks = h.slice_blocks(z)
-    base = h.source.win.base
-    universe = [strings.base_string_view(base, w, fld)
-                for w in strings.enumerate_base_strings(base, universe_len)]
-    span = []
-    for x in universe:
-        ins = _view_radical_hom(fld, a, x)
-        outs = _view_radical_hom(fld, x, b)
-        for u in ins:
-            for v in outs:
-                comp = {w: linalg.mat_mul(
-                    fld, v.get(w) or linalg.zeros(fld, b.dim(w), x.dim(w)),
-                    u.get(w) or linalg.zeros(fld, x.dim(w), a.dim(w)))
-                    for w in set(a.dims) & set(b.dims)}
-                span.append(_flatten_slice(a, b, comp, fld))
-    target = _flatten_slice(a, b, blocks, fld)
-    if not span:
-        return any(x for x in target)
-    cols = [[row[i] for row in span] for i in range(len(span[0]))]
-    rhs = [[x] for x in target]
-    return linalg.solve(fld, cols, rhs) is None
-
-
-def _flatten_slice(a, b, blocks, fld):
-    vec = []
-    for v in sorted(set(a.dims) & set(b.dims)):
-        blk = blocks.get(v) or linalg.zeros(fld, b.dim(v), a.dim(v))
-        for row in blk:
-            vec.extend(row)
-    return vec
+    ctx = strings.base_context(h.source.win)
+    universe = [strings.string_module(ctx, w, hz.source.field)
+                for w in strings.enumerate_strings(ctx, universe_len)]
+    return not rad_square_membership(hz, universe)

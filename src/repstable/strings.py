@@ -85,13 +85,15 @@ def canonical_word(w: StringWord, quiver) -> StringWord:
 
 
 class StringContext:
-    """Validity data shared by all word operations: the quiver, the
-    forbidden direct subwords (vanishing paths and both sides of every
-    socle identification) and, for windows, the degree bookkeeping."""
+    """Validity data shared by all word operations: the quiver and its
+    arrow table, the forbidden direct subwords (vanishing paths and both
+    sides of every socle identification) and, for windows, the degree
+    bookkeeping."""
 
-    def __init__(self, pres, win=None):
+    def __init__(self, pres, table, win=None):
         self.pres = pres
         self.quiver = pres.quiver
+        self.table = table
         self.win = win
         forbidden = set()
         for r in pres.relations:
@@ -169,25 +171,30 @@ class StringContext:
 
 
 def window_context(win) -> StringContext:
-    return StringContext(win.presentation, win)
+    return StringContext(win.presentation, win.table, win)
 
 
-def base_context(pres) -> StringContext:
-    return StringContext(pres, None)
+def base_context(win) -> StringContext:
+    """Words over the base algebra of a window; their string modules are
+    representations of the same base quiver as the window's degree
+    slices."""
+    return StringContext(win.base, win.base_table)
+
+
+def _context(win) -> StringContext:
+    return win if isinstance(win, StringContext) else window_context(win)
 
 
 # -- string modules ---------------------------------------------------------
 
-def string_module(win, w: StringWord, fieldobj) -> "modules.GradedModule":
+def string_module(win, w: StringWord, fieldobj) -> "modules.RepView":
     """The representation with one basis vector per walk position and
-    arrow actions along the letters; dimension is ``len(w) + 1``."""
-    ctx = window_context(win)
+    arrow actions along the letters; dimension is ``len(w) + 1``.  ``win``
+    is a window (giving a validated :class:`modules.GradedModule`) or a
+    StringContext."""
+    ctx = _context(win)
     if not ctx.is_valid(w):
         raise StringError("invalid string word %s" % w)
-    return _rep_from_word(win, ctx, w, fieldobj)
-
-
-def _rep_from_word(win, ctx, w, fieldobj):
     positions = w.positions(ctx.quiver)
     at_vertex = {}
     for i, v in enumerate(positions):
@@ -207,7 +214,9 @@ def _rep_from_word(win, ctx, w, fieldobj):
         i = at_vertex[arr.target].index(tgt_pos)
         j = at_vertex[arr.source].index(src_pos)
         m[i][j] = fieldobj.one()
-    mod = modules.GradedModule(win, fieldobj, dims, acts,
+    if ctx.win is None:
+        return modules.RepView(ctx.table, fieldobj, dims, acts)
+    mod = modules.GradedModule(ctx.win, fieldobj, dims, acts,
                                meta={"word": w, "positions": positions})
     mod.validate()
     return mod
@@ -243,17 +252,21 @@ def enumerate_strings(win, max_len: int, fieldobj=None, interior_only=True,
                       with_bands=False):
     """All valid words up to the length bound, one representative per
     inverse pair, sorted by (length, encoding).  Band words are skipped
-    (and returned separately when ``with_bands`` is set)."""
-    ctx = window_context(win)
+    (and returned separately when ``with_bands`` is set).  ``win`` is a
+    window or a StringContext; ``interior_only`` keeps, on a window, the
+    words that avoid its two boundary degrees."""
+    ctx = _context(win)
     quiver = ctx.quiver
 
     def vertex_ok(vn):
-        return win.is_interior(vn) if interior_only else True
+        if interior_only and ctx.win is not None:
+            return ctx.win.is_interior(vn)
+        return True
 
     seen = set()
     words = []
     bands = []
-    frontier = [StringWord(v, ()) for v in win.sorted_vertices()
+    frontier = [StringWord(v, ()) for v in ctx.table.vertices
                 if vertex_ok(v)]
     for w in frontier:
         seen.add(canonical(w, quiver))
@@ -266,7 +279,7 @@ def enumerate_strings(win, max_len: int, fieldobj=None, interior_only=True,
             # of the next length is reached.
             for base in (w, w.inverse(quiver)) if w.letters else (w,):
                 x = base.end(quiver)
-                for arr in sorted(quiver.arrows.values(), key=lambda a: a.name):
+                for arr in ctx.table.arrows:
                     for sign in (1, -1):
                         start = arr.source if sign > 0 else arr.target
                         lands = arr.target if sign > 0 else arr.source
@@ -756,69 +769,3 @@ def component_table(comp: ARQuiverComponent) -> str:
                      % (i, _word_of(mesh.start), middles, proj,
                         _word_of(mesh.end), mesh.window[0], mesh.window[1]))
     return "\n".join(lines) + "\n"
-
-
-def base_string_view(pres, w: StringWord, fieldobj) -> "modules.RepView":
-    """String module over the base presentation itself, as a plain
-    representation view (used for degree-slice certification)."""
-    ctx = base_context(pres)
-    if not ctx.is_valid(w):
-        raise StringError("invalid base string word %s" % w)
-    positions = w.positions(pres.quiver)
-    at_vertex = {}
-    for i, v in enumerate(positions):
-        at_vertex.setdefault(v, []).append(i)
-    dims = {v: len(ix) for v, ix in at_vertex.items()}
-    acts = {}
-    for k, (name, sign) in enumerate(w.letters):
-        arr = pres.quiver.arrows[name]
-        src_pos, tgt_pos = (k, k + 1) if sign > 0 else (k + 1, k)
-        m = acts.get(name)
-        if m is None:
-            m = linalg.zeros(fieldobj, dims[arr.target], dims[arr.source])
-            acts[name] = m
-        i = at_vertex[arr.target].index(tgt_pos)
-        j = at_vertex[arr.source].index(src_pos)
-        m[i][j] = fieldobj.one()
-    return modules.RepView(tuple(sorted(pres.quiver.vertices)),
-                           tuple((a.name, a.source, a.target)
-                                 for a in pres.quiver.sorted_arrows()),
-                           dims, acts)
-
-
-def enumerate_base_strings(pres, max_len: int):
-    """All base-algebra string words up to the length bound, one per
-    inverse pair."""
-    ctx = base_context(pres)
-    quiver = pres.quiver
-    seen = set()
-    words = [StringWord(v, ()) for v in sorted(quiver.vertices)]
-    for w in words:
-        seen.add(canonical(w, quiver))
-    current = list(words)
-    for _ in range(max_len):
-        nxt = []
-        for w in current:
-            for base in (w, w.inverse(quiver)) if w.letters else (w,):
-                x = base.end(quiver)
-                for arr in sorted(quiver.arrows.values(), key=lambda a: a.name):
-                    for sign in (1, -1):
-                        start = arr.source if sign > 0 else arr.target
-                        if start != x:
-                            continue
-                        w2 = StringWord(base.source,
-                                        base.letters + ((arr.name, sign),))
-                        if not ctx.is_valid(w2):
-                            continue
-                        key = canonical(w2, quiver)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        if ctx.is_band(w2):
-                            continue
-                        w2c = canonical_word(w2, quiver)
-                        words.append(w2c)
-                        nxt.append(w2c)
-        current = nxt
-    words.sort(key=lambda w: (len(w), w.encode()))
-    return words

@@ -1,8 +1,17 @@
+import importlib
+import inspect
 import os
+import pkgutil
 
+import pytest
+
+import repstable
+from repstable import cli
 from repstable.cli import main
 
 A2_TEXT = "vertices 1 2\narrow a : 1 -> 2\n"
+EXAMPLE4 = os.path.join(os.path.dirname(__file__), "..", "src", "repstable",
+                        "data", "example4.quiver")
 
 
 def write_a2(tmp_path):
@@ -104,3 +113,60 @@ def test_window_too_short(tmp_path, capsys):
     rc = main(["repetitive", path, "--window", "0", "1",
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+def test_non_prime_characteristic_exit_two(tmp_path, capsys):
+    rc = main(["ar", EXAMPLE4, "--window", "-1", "3", "--seed", "v:1@0",
+               "--char", "4", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    _single_error_line(capsys)
+
+
+def _package_exceptions():
+    found = []
+    for info in pkgutil.iter_modules(repstable.__path__):
+        mod = importlib.import_module("repstable." + info.name)
+        for _, cls in inspect.getmembers(mod, inspect.isclass):
+            if issubclass(cls, Exception) and cls.__module__ == mod.__name__:
+                found.append(cls)
+    return found
+
+
+@pytest.mark.parametrize("exc_class", _package_exceptions(),
+                         ids=lambda c: c.__name__)
+def test_every_package_error_exit_two(exc_class, tmp_path, capsys,
+                                      monkeypatch):
+    def fail(cfg, check=False):
+        exc = exc_class.__new__(exc_class)
+        Exception.__init__(exc, "first line\nsecond line")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_dispatch", fail)
+    rc = main(["validate", "in.quiver", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    _single_error_line(capsys)
+
+
+def test_triangle_findings_equal_in_every_characteristic(tmp_path, capsys):
+    def findings(char):
+        out = str(tmp_path / ("c%d" % char))
+        rc = main(["triangles", EXAMPLE4, "--window", "-3", "5",
+                   "--seed", "v:1@0", "--max-len", "7", "--char", str(char),
+                   "--out", out])
+        assert rc == 0
+        text = open(os.path.join(out, "findings.tsv")).read()
+        return [line for line in text.splitlines()
+                if not line.startswith("# repstable")
+                and not line.startswith("# command=")]
+
+    rows = findings(0)
+    assert len(rows) == 8
+    for char in (2, 3, 101):
+        assert findings(char) == rows
