@@ -2,9 +2,10 @@
 
 The goldens of ``example4 --check`` pin verdicts; this file pins the
 matrices behind them: bases of radicals, socle quotients, socles, kernels
-and cokernels, Hom bases, a decomposition and a connecting morphism.  The
-Gauss-Jordan column order fixes every one of them, so a change to how a
-system or a basis is laid out shows here first.
+and cokernels, projective covers and syzygies, Hom bases, a decomposition
+and a connecting morphism.  The Gauss-Jordan column order fixes every one
+of them, so a change to how a system or a basis is laid out shows here
+first.
 
 Regenerate the fixture (only when a change of basis is intended) with
 
@@ -78,6 +79,10 @@ def render(case, fld):
         mor("%s soc incl" % w, sr.soc_incl)
         mor("%s rad incl" % w, sr.rad_incl)
         mor("%s top proj" % w, sr.top_proj)
+        cover, cover_map = stable.projective_cover(m)
+        mod("%s cover" % w, cover)
+        mor("%s cover map" % w, cover_map)
+        mor("%s syzygy incl" % w, stable.syzygy(m)[1])
         if min(win.degree(v) for v in sr.soc.dims) - 1 < win.lo:
             continue
         hull, emb = modules.injective_hull(m)
