@@ -218,11 +218,9 @@ def cmd_knit(cfg: RunConfig):
     return 0 if not comp.truncated else 1
 
 
-def _finding_record(i, mesh, finding):
-    start = strings.StringWord(mesh.start[0], tuple(mesh.start[1:]))
-    end = strings.StringWord(mesh.end[0], tuple(mesh.end[1:]))
+def _finding_record(i, finding):
     return "\t".join([
-        str(i), str(start), str(end),
+        str(i), finding.start, finding.end,
         str(finding.class_h), str(finding.class_hp),
         finding.clause or "VIOLATION",
         "yes" if finding.p_present else "no",
@@ -248,10 +246,10 @@ def cmd_triangles(cfg: RunConfig):
         tri, phat = stable.ar_triangle_from_sequence(mesh.seq)
         finding = stable.verify_shape_table(
             tri, phat, universe_dim=cfg.universe_dim,
-            start=str(strings.StringWord(mesh.start[0], tuple(mesh.start[1:]))),
-            end=str(strings.StringWord(mesh.end[0], tuple(mesh.end[1:]))))
+            start=str(strings.StringWord.decode(mesh.start)),
+            end=str(strings.StringWord.decode(mesh.end)))
         all_pass = all_pass and finding.passed
-        lines.append(_finding_record(i, mesh, finding))
+        lines.append(_finding_record(i, finding))
     _write_artifact(cfg.out_dir, "findings.tsv", "\n".join(lines) + "\n")
     print("%d triangles, %s" % (len(comp.meshes),
                                 "all pass" if all_pass else "VIOLATIONS"))

@@ -18,12 +18,17 @@ Design rules; new code uses these shared paths instead of copying them:
   variable layout (vertex order, then row-major block entries) fixes every
   basis and every particular solution.
 - Every sub- or quotient module given by a basis is built by
-  :func:`submodule` or :func:`quotient`.
+  :func:`submodule` or :func:`quotient`, and every direct sum by
+  :func:`direct_sum`.
+- Every decision is exact and deterministic; nothing is sampled.
+  Isomorphism and summand tests search a Hom basis for an invertible
+  element, which decides them when one side is indecomposable: its
+  endomorphism ring is local (Fitting's lemma), so the non-invertible maps
+  form a proper subspace that no basis fits in.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,13 +41,12 @@ class ModuleError(Exception):
 
 
 class DecomposeError(Exception):
-    """Raised when the summand search and its sampling fallback exhaust
-    their budget; carries whatever was peeled so far."""
+    """Raised when no candidate is a summand of what is left to decompose;
+    carries whatever was peeled so far."""
 
-    def __init__(self, message, partial=None, budget=0):
+    def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial or []
-        self.budget = budget
 
 
 class QuiverTable:
@@ -155,10 +159,6 @@ class GradedModule(RepView):
                        {v: self.dim(win.vname(v, z)) for v in table.vertices},
                        {a.name: self.acts.get(win.aname(a.name, z))
                         for a in table.arrows})
-
-
-def zero_module(win, fieldobj) -> GradedModule:
-    return GradedModule(win, fieldobj, {}, {})
 
 
 def simple_module(win, fieldobj, vname: str) -> GradedModule:
@@ -515,17 +515,19 @@ def quotient(m: GradedModule, row_basis: dict):
     return quot, ModuleMorphism(m, quot, basis)
 
 
+def _joint_kernel(fld, mats: list, d: int):
+    """Basis vectors of the joint kernel of matrices with ``d`` columns."""
+    stacked = linalg.vstack(mats)
+    return (linalg.nullspace(fld, stacked) if stacked
+            else linalg.identity(fld, d))
+
+
 def kernel_cokernel(h: ModuleMorphism) -> KerCoker:
     fld = h.source.field
-    kbasis = {}
-    for v, d in h.source.dims.items():
-        vecs = (linalg.nullspace(fld, h.block(v)) if h.target.dim(v)
-                else linalg.identity(fld, d))
-        kbasis[v] = linalg.transpose(fld, vecs)
-    pbasis = {}
-    for v, d in h.target.dims.items():
-        pbasis[v] = (linalg.nullspace(fld, linalg.transpose(fld, h.block(v)))
-                     if h.source.dim(v) else linalg.identity(fld, d))
+    kbasis = {v: linalg.transpose(fld, _joint_kernel(fld, [h.block(v)], d))
+              for v, d in h.source.dims.items()}
+    pbasis = {v: _joint_kernel(fld, [linalg.transpose(fld, h.block(v))], d)
+              for v, d in h.target.dims.items()}
     ker, ker_incl = submodule(h.source, kbasis)
     coker, coker_proj = quotient(h.target, pbasis)
     ker.validate()
@@ -551,20 +553,14 @@ def socle_radical(m: GradedModule) -> SocRad:
     fld = m.field
     q = m.table.quiver
 
+    # Arrows act by zero on the socle, so it needs no action solves.
     soc_basis = {}
-    for v in m.dims:
-        outs = [m.act(a.name) for a in q.arrows_out(v)
-                if m.dim(a.target)]
-        outs = [a for a in outs if a]
-        if outs:
-            stacked = linalg.vstack(outs)
-            vecs = linalg.nullspace(fld, stacked)
-        else:
-            vecs = linalg.identity(fld, m.dim(v))
+    for v, d in m.dims.items():
+        vecs = _joint_kernel(fld, [m.act(a.name) for a in q.arrows_out(v)], d)
         if vecs:
             soc_basis[v] = linalg.transpose(fld, vecs)
-    soc_dims = {v: len(b[0]) for v, b in soc_basis.items()}
-    soc = GradedModule(m.win, fld, soc_dims, {})
+    soc = GradedModule(m.win, fld,
+                       {v: len(b[0]) for v, b in soc_basis.items()}, {})
     soc_incl = ModuleMorphism(soc, m, soc_basis)
 
     rad_basis = {}
@@ -588,45 +584,32 @@ def direct_sum(mods: list):
     if not mods:
         raise ModuleError("direct_sum of nothing")
     win, fld = mods[0].win, mods[0].field
-    q = win.presentation.quiver
+
+    def diagonal(blocks, shapes):
+        return linalg.vstack([
+            linalg.hstack([blk if j == k else linalg.zeros(fld, rows, cols)
+                           for j, (_, cols) in enumerate(shapes)])
+            for k, (blk, (rows, _)) in enumerate(zip(blocks, shapes))])
+
     dims = {}
-    offsets = []
     for m in mods:
-        off = {}
-        for v in set(dims) | set(m.dims):
-            off[v] = dims.get(v, 0)
-        offsets.append(off)
         for v, d in m.dims.items():
             dims[v] = dims.get(v, 0) + d
-    acts = {}
-    for a in q.sorted_arrows():
-        sd, td = dims.get(a.source, 0), dims.get(a.target, 0)
-        if not sd or not td:
-            continue
-        mat = linalg.zeros(fld, td, sd)
-        for m, off in zip(mods, offsets):
-            blk = m.act(a.name)
-            ro = off.get(a.target, 0)
-            co = off.get(a.source, 0)
-            for i in range(m.dim(a.target)):
-                for j in range(m.dim(a.source)):
-                    mat[ro + i][co + j] = blk[i][j]
-        acts[a.name] = mat
+    acts = {a.name: diagonal([m.act(a.name) for m in mods],
+                             [(m.dim(a.target), m.dim(a.source))
+                              for m in mods])
+            for a in win.table.arrows
+            if a.source in dims and a.target in dims}
     total = GradedModule(win, fld, dims, acts)
     incls, projs = [], []
-    for m, off in zip(mods, offsets):
-        iblocks, pblocks = {}, {}
-        for v, d in m.dims.items():
-            tdim = dims[v]
-            imat = linalg.zeros(fld, tdim, d)
-            pmat = linalg.zeros(fld, d, tdim)
-            for i in range(d):
-                imat[off.get(v, 0) + i][i] = fld.one()
-                pmat[i][off.get(v, 0) + i] = fld.one()
-            iblocks[v] = imat
-            pblocks[v] = pmat
+    for k, m in enumerate(mods):
+        iblocks = {v: linalg.vstack([
+            linalg.identity(fld, d) if j == k
+            else linalg.zeros(fld, n.dim(v), d) for j, n in enumerate(mods)])
+            for v, d in m.dims.items()}
         incls.append(ModuleMorphism(m, total, iblocks))
-        projs.append(ModuleMorphism(total, m, pblocks))
+        projs.append(ModuleMorphism(total, m, {
+            v: linalg.transpose(fld, b) for v, b in iblocks.items()}))
     return total, incls, projs
 
 
@@ -754,40 +737,28 @@ def check_ses(seq: ShortExactSeq) -> SesReport:
     degrees = sorted(set(f.source.support_degrees())
                      | set(f.target.support_degrees())
                      | set(g.target.support_degrees()))
-    degreewise = {}
-    degree_splits = {}
-    win = f.source.win
-    for z in degrees:
-        bq = win.base.quiver
-        exact_z = True
-        for v in sorted(bq.vertices):
-            vn = win.vname(v, z)
-            fb = f.block(vn)
-            gb = g.block(vn)
-            rk_f = linalg.rank(fld, fb)
-            rk_g = linalg.rank(fld, gb)
-            ok = (rk_f == f.source.dim(vn)
-                  and rk_g == g.target.dim(vn)
-                  and rk_f + rk_g == f.target.dim(vn)
-                  and linalg.is_zero(linalg.mat_mul(fld, gb, fb)))
-            if not ok:
-                exact_z = False
-        degreewise[z] = exact_z
-        degree_splits[z] = is_split_mono(f.slice(z))
+    degreewise = dict.fromkeys(degrees, True)
+    for v in set(f.source.dims) | set(f.target.dims) | set(g.target.dims):
+        fb, gb = f.block(v), g.block(v)
+        rk_f, rk_g = linalg.rank(fld, fb), linalg.rank(fld, gb)
+        if not (rk_f == f.source.dim(v) and rk_g == g.target.dim(v)
+                and rk_f + rk_g == f.target.dim(v)
+                and linalg.is_zero(linalg.mat_mul(fld, gb, fb))):
+            degreewise[f.source.win.degree(v)] = False
+    degree_splits = {z: is_split_mono(f.slice(z)) for z in degrees}
     agree = global_exact == all(degreewise.values())
     return SesReport(global_exact, degreewise, degree_splits, agree, details)
 
 
 # -- isomorphism certificates and decomposition -----------------------------
 
-def find_isomorphism(a: RepView, b: RepView, tries: int = 30,
-                     seed: int = 11):
-    """An explicit isomorphism, or None.  Existence is searched on a basis
-    of the Hom space: single basis elements first, then seeded random
-    combinations (dense in the invertible locus when one exists).  A found
-    isomorphism is exact, but None only means the search failed: it does
-    not prove that a and b are non-isomorphic, least of all over GF(2) and
-    GF(3)."""
+def find_isomorphism(a: RepView, b: RepView):
+    """An invertible element of a basis of Hom(a, b), or None.  None
+    proves that a and b are not isomorphic whenever either of them is
+    indecomposable: if a ≅ b then Hom(a, b) ≅ End(a), a local ring by
+    Fitting's lemma, whose non-invertible elements form a proper subspace
+    that contains no basis.  Between decomposable modules None proves
+    nothing."""
     if a.total_dim() != b.total_dim():
         return None
     if sorted(a.dims.items()) != sorted(b.dims.items()):
@@ -795,50 +766,48 @@ def find_isomorphism(a: RepView, b: RepView, tries: int = 30,
     basis = hom_basis(a, b)
     if not basis:
         return None if a.total_dim() else identity_morphism(a)
-    fld = a.field
-
-    def invertible(h):
-        return all(linalg.is_invertible(fld, h.block(v)) for v in a.dims)
-
     for h in basis:
-        if invertible(h):
-            return h
-    rng = random.Random(seed)
-    for _ in range(tries):
-        h = basis[0].scaled(fld.of_int(rng.randrange(1, 7)))
-        for extra in basis[1:]:
-            h = h + extra.scaled(fld.of_int(rng.randrange(0, 7)))
-        if invertible(h):
+        if all(linalg.is_invertible(a.field, h.block(v)) for v in a.dims):
             return h
     return None
 
 
-def _radical_endo_subspace(m: RepView, endos: list):
-    """For an indecomposable module with local endomorphism algebra and
-    scalar residue field, the radical is the trace-zero part."""
+def _eigenvalue(m: RepView, h: ModuleMorphism):
+    """The scalar c with h - c·id nilpotent, for an endomorphism h of an
+    indecomposable module whose endomorphism ring is local with the base
+    field as residue field.  Each block h_v is then c·I plus a nilpotent,
+    so c = tr(h_v) / dim v at a vertex whose dimension the characteristic
+    p does not divide; failing one, p <= dim v and c is the only one of
+    0..p-1 that makes h_v - c·I singular."""
     fld = m.field
-    d = m.total_dim()
-    if fld.characteristic and d % fld.characteristic == 0:
-        raise ModuleError("total dimension divisible by the characteristic; "
-                          "trace criterion unavailable")
+    p = fld.characteristic
+    support = m.sorted_support()
+    for v in support:
+        if not p or m.dim(v) % p:
+            return linalg.trace(fld, h.block(v)) / fld.of_int(m.dim(v))
+    v = support[0]
+    for c in range(p):
+        shifted = linalg.mat_sub(h.block(v), linalg.mat_scale(
+            fld.of_int(c), linalg.identity(fld, m.dim(v))))
+        if not linalg.is_invertible(fld, shifted):
+            return fld.of_int(c)
+    raise ModuleError("endomorphism without an eigenvalue in the field; "
+                      "the module is not indecomposable")
+
+
+def _radical_endo_subspace(m: RepView, endos: list):
+    """Spanning set of the radical of a local endomorphism ring with scalar
+    residue field: each endomorphism minus its eigenvalue."""
     out = []
     for h in endos:
-        t = fld.zero()
-        for v in m.dims:
-            t = t + linalg.trace(fld, h.block(v))
-        if t:
-            correction = identity_morphism(m).scaled(
-                t / fld.of_int(d))
-            out.append(h - correction)
-        else:
-            out.append(h)
-    # Deduplicate linearly: return a spanning set; rank handled downstream.
+        c = _eigenvalue(m, h)
+        out.append(h - identity_morphism(m).scaled(c) if c else h)
     return out
 
 
 def radical_hom(a: RepView, b: RepView):
     """Spanning set of the radical of Hom(a, b) for indecomposable
-    endpoints: everything if a and b are non-isomorphic, the trace-zero
+    endpoints: everything if a and b are non-isomorphic, the nilpotent
     endomorphisms otherwise."""
     basis = hom_basis(a, b)
     if not basis:
@@ -895,17 +864,16 @@ def _split_by_idempotent(m: GradedModule, incl, proj):
     return comp, comp_incl, comp_proj
 
 
-def decompose(m: GradedModule, candidates=None, budget: int = 1000):
+def decompose(m: GradedModule, candidates=None):
     """Indecomposable direct summands with inclusion/projection pairs.
 
     Summands are matched against ``candidates`` (by default all string
     modules of the window up to the ambient dimension plus the
-    projective-injectives), peeling one certified summand at a time; a
-    seeded sampling fallback splits anything the candidate list misses and
-    fails loudly when its budget runs out.  Every returned summand comes
-    with exact inclusion and projection maps, but a piece the fallback
-    leaves whole is only not split by the random endomorphisms it drew,
-    which does not prove it indecomposable.
+    projective-injectives), peeling one certified summand at a time.  Each
+    test is exact because the candidates are indecomposable (see
+    :func:`summand_witness`).  When no candidate is a summand of what is
+    left, :class:`DecomposeError` is raised with the summands peeled so
+    far.
     """
     if m.total_dim() == 0:
         return []
@@ -916,60 +884,26 @@ def decompose(m: GradedModule, candidates=None, budget: int = 1000):
     cands = sorted(candidates, key=lambda c: (-c.total_dim(), c.key()))
 
     result = []
-
-    def peel(current, incl_to_m, proj_from_m, depth=0):
-        if current.total_dim() == 0:
-            return
+    current = m
+    incl_to_m = proj_from_m = identity_morphism(m)
+    while True:
         for s in cands:
             if s.total_dim() > current.total_dim():
                 continue
             w = summand_witness(s, current)
-            if w is None:
-                continue
-            u, p = w
-            result.append((s, compose(incl_to_m, u), compose(p, proj_from_m)))
-            if s.total_dim() == current.total_dim():
-                return
-            comp, ci, cp = _split_by_idempotent(current, u, p)
-            peel(comp, compose(incl_to_m, ci), compose(cp, proj_from_m),
-                 depth + 1)
-            return
-        # Sampling fallback: look for a non-invertible, non-nilpotent
-        # endomorphism and take its Fitting decomposition.
-        fld = current.field
-        endos = hom_basis(current, current)
-        rng = random.Random(97 + depth)
-        n = current.total_dim()
-        for _ in range(budget):
-            h = endos[0].scaled(fld.of_int(rng.randrange(0, 5)))
-            for extra in endos[1:]:
-                h = h + extra.scaled(fld.of_int(rng.randrange(0, 5)))
-            power = h
-            for _ in range(n):
-                power = compose(power, h)
-            rk = power.rank()
-            if rk == 0 or rk == n:
-                continue
-            # Treat the image of the stabilized power as a summand.
-            part, _ = submodule(current, {
-                v: linalg.column_space_basis(fld, power.block(v))
-                for v in current.dims})
-            pr = summand_witness(part, current)
-            if pr is None:
-                continue
-            u, p = pr
-            result.append((part, compose(incl_to_m, u),
-                           compose(p, proj_from_m)))
-            comp, ci, cp = _split_by_idempotent(current, u, p)
-            peel(comp, compose(incl_to_m, ci), compose(cp, proj_from_m),
-                 depth + 1)
-            return
-        raise DecomposeError(
-            "not decomposed: sampling budget %d exhausted on a piece of "
-            "dimension %d" % (budget, current.total_dim()),
-            partial=result, budget=budget)
-
-    peel(m, identity_morphism(m), identity_morphism(m))
+            if w is not None:
+                break
+        else:
+            raise DecomposeError(
+                "not decomposed: no candidate is a summand of a piece of "
+                "dimension %d" % current.total_dim(), partial=result)
+        u, p = w
+        result.append((s, compose(incl_to_m, u), compose(p, proj_from_m)))
+        if s.total_dim() == current.total_dim():
+            break
+        current, ci, cp = _split_by_idempotent(current, u, p)
+        incl_to_m = compose(incl_to_m, ci)
+        proj_from_m = compose(cp, proj_from_m)
     total = sum(s.total_dim() for s, _, _ in result)
     if total != m.total_dim():
         raise ModuleError("decomposition lost dimensions")

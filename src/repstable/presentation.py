@@ -163,6 +163,12 @@ class AlgebraPresentation:
             big, small = (a, b) if (len(a), a) > (len(b), b) else (b, a)
             rw[big] = small
         self._rewrites = rw
+        # Subwords no string may contain in a direct run: the vanishing
+        # paths and both sides of every binomial relation.
+        self.forbidden_subwords = frozenset(
+            side.arrows for r in relations
+            for side in ((r.path,) if r.kind == "monomial"
+                         else (r.path, r.other)))
         self._basis_cache = None
 
     # -- construction helpers -------------------------------------------
@@ -453,8 +459,3 @@ def validate_gentle(pres: AlgebraPresentation) -> GentleReport:
                        "arrow %s preceded by %s" % (a.name, pred_nonzero))
 
     return report
-
-
-def path_normal_form(pres: AlgebraPresentation, p: PathWord) -> NormalForm:
-    """Reduce a path modulo the relation ideal of the presentation."""
-    return pres.path_normal_form(p)

@@ -126,9 +126,6 @@ class RepetitiveWindow:
     def sorted_vertices(self) -> list:
         return sorted(self.presentation.quiver.vertices, key=self.vertex_sort_key)
 
-    def interior_degrees(self) -> range:
-        return range(self.lo + 1, self.hi)
-
     def is_interior(self, vn: str) -> bool:
         return self.lo < self.degree(vn) < self.hi
 
@@ -272,9 +269,6 @@ class RepetitiveWindow:
         return [v for v in sorted(self.base.quiver.vertices)
                 if len(self._realizations[v]) == 2]
 
-    def socle_realizations(self, v: str) -> list:
-        return list(self._realizations[v])
-
     def enlarged(self, k: int = 2) -> "RepetitiveWindow":
         return RepetitiveWindow(self.base, self.lo - k, self.hi + k)
 
@@ -289,25 +283,8 @@ class RepetitiveWindow:
             raise WindowError("degree %d (and %d) must lie in the window"
                               % (z, z + 1))
         pres = self.presentation
-        start = PathWord(self.vname(v, z), ())
-        basis = []
-        seen = set()
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                if (p.source, p.arrows) in seen:
-                    continue
-                seen.add((p.source, p.arrows))
-                basis.append(p)
-                at = p.target(pres.quiver)
-                for a in sorted(pres.quiver.arrows_out(at), key=lambda a: a.name):
-                    nf = pres.path_normal_form(
-                        PathWord(p.source, p.arrows + (a.name,)))
-                    if not nf.is_zero:
-                        nxt.append(nf.path)
-            frontier = nxt
-        basis.sort(key=lambda p: (len(p), p.arrows))
+        basis = [p for p in pres.path_basis()
+                 if p.source == self.vname(v, z)]
         index_at = {}
         dims = {}
         for p in basis:

@@ -95,6 +95,19 @@ class StableMorphism:
 
 # -- syzygies ---------------------------------------------------------------
 
+def _evaluation(phat, m, gen):
+    """The map from a window projective to ``m`` sending each basis path p
+    of ``phat`` to p acting on the column ``gen`` of ``m``."""
+    quiver = m.table.quiver
+    at = {}
+    for p in phat.meta["basis"]:
+        at.setdefault(p.target(quiver), []).append(p)
+    return modules.ModuleMorphism(phat, m, {
+        u: linalg.hstack([linalg.mat_mul(m.field, m.eval_path(p), gen)
+                          for p in paths])
+        for u, paths in at.items() if m.dim(u)})
+
+
 def projective_cover(m: "modules.GradedModule"):
     """(cover, epi) with the cover a sum of window projectives matched to
     the top constituents; the covering map evaluates basis paths on chosen
@@ -104,44 +117,19 @@ def projective_cover(m: "modules.GradedModule"):
     m = ensure_module_margin(m)
     win, fld = m.win, m.field
     sr = modules.socle_radical(m)
-    summands = []
-    gens = []  # (vertex, preimage column vector in m)
+    summands, evals = [], []
     for v in sr.top.sorted_support():
-        base_v, z = win.vertex_info(v)
-        blk = sr.top_proj.block(v)
+        phat = win.projective(*win.vertex_info(v), fld)
+        x = linalg.solve(fld, sr.top_proj.block(v),
+                         linalg.identity(fld, sr.top.dim(v)))
+        if x is None:
+            raise modules.ModuleError("top projection is not surjective")
         for k in range(sr.top.dim(v)):
-            rhs = [[fld.one() if i == k else fld.zero()]
-                   for i in range(sr.top.dim(v))]
-            x = linalg.solve(fld, blk, rhs)
-            if x is None:
-                raise modules.ModuleError("top projection is not surjective")
-            summands.append(win.projective(base_v, z, fld))
-            gens.append((v, [row[0] for row in x]))
-    cover, incls, _ = modules.direct_sum(summands)
-    # Cover columns are the summand basis paths in direct-sum order; the
-    # covering map evaluates each path on the chosen generator preimage.
-    blocks = {}
-    offsets = {}
-    for v in cover.dims:
-        blocks[v] = linalg.zeros(fld, m.dim(v), cover.dim(v))
-        offsets[v] = 0
-    for (gen_vertex, vec), phat in zip(gens, summands):
-        basis = phat.meta["basis"]
-        at = {}
-        for p in basis:
-            at.setdefault(p.target(win.presentation.quiver), []).append(p)
-        for u in sorted(phat.dims, key=win.vertex_sort_key):
-            off = offsets[u]
-            for j, p in enumerate(at[u]):
-                if m.dim(u):
-                    col = linalg.mat_mul(fld, m.eval_path(p),
-                                         [[x] for x in vec])
-                    for i in range(m.dim(u)):
-                        blocks[u][i][off + j] = col[i][0]
-            offsets[u] = off + len(at[u])
-    cover_map = modules.ModuleMorphism(cover, m,
-                                       {v: b for v, b in blocks.items()
-                                        if m.dim(v)})
+            summands.append(phat)
+            evals.append(_evaluation(phat, m, [[row[k]] for row in x]))
+    cover, _, projs = modules.direct_sum(summands)
+    cover_map = sum((modules.compose(e, p) for e, p in zip(evals, projs)),
+                    modules.ModuleMorphism(cover, m, {}))
     cover_map.validate()
     if cover_map.rank() != m.total_dim():
         raise modules.ModuleError("cover map is not surjective")
@@ -480,14 +468,12 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
         raise TheoremViolationError("middle term is entirely projective")
     free_mods = [s for s, _, _ in free_parts]
     free_sum, fincls, fprojs = modules.direct_sum(free_mods)
-    h_free = None
-    for (s, incl, proj), fincl in zip(free_parts, fincls):
-        term = modules.compose(fincl, modules.compose(proj, seq.f))
-        h_free = term if h_free is None else h_free + term
-    hp_free = None
-    for (s, incl, proj), fproj in zip(free_parts, fprojs):
-        term = modules.compose(modules.compose(seq.g, incl), fproj)
-        hp_free = term if hp_free is None else hp_free + term
+    h_free = sum((modules.compose(fincl, modules.compose(proj, seq.f))
+                  for (_, _, proj), fincl in zip(free_parts, fincls)),
+                 modules.ModuleMorphism(seq.f.source, free_sum, {}))
+    hp_free = sum((modules.compose(modules.compose(seq.g, incl), fproj)
+                   for (_, incl, _), fproj in zip(free_parts, fprojs)),
+                  modules.ModuleMorphism(free_sum, seq.g.target, {}))
     tri = Triangle(h_free, hp_free, tri_full.hpp, tri_full.omega,
                    dict(tri_full.data, free_parts=len(free_parts)))
     return tri, phat_info

@@ -68,6 +68,11 @@ class StringWord:
     def encode(self):
         return (self.source,) + self.letters
 
+    @staticmethod
+    def decode(enc) -> "StringWord":
+        """The word with encoding ``enc`` (the inverse of :meth:`encode`)."""
+        return StringWord(enc[0], tuple(enc[1:]))
+
     def __str__(self):
         if not self.letters:
             return "1_(%s)" % self.source
@@ -80,8 +85,7 @@ def canonical(w: StringWord, quiver) -> tuple:
 
 
 def canonical_word(w: StringWord, quiver) -> StringWord:
-    enc = canonical(w, quiver)
-    return StringWord(enc[0], tuple(enc[1:]))
+    return StringWord.decode(canonical(w, quiver))
 
 
 class StringContext:
@@ -95,15 +99,8 @@ class StringContext:
         self.quiver = pres.quiver
         self.table = table
         self.win = win
-        forbidden = set()
-        for r in pres.relations:
-            if r.kind == "monomial":
-                forbidden.add(r.path.arrows)
-            else:
-                forbidden.add(r.path.arrows)
-                forbidden.add(r.other.arrows)
-        self.forbidden = forbidden
-        self._maxforb = max((len(f) for f in forbidden), default=0)
+        self.forbidden = pres.forbidden_subwords
+        self._maxforb = max(map(len, self.forbidden), default=0)
 
     def run_ok(self, names: tuple) -> bool:
         if len(names) >= self.pres.nilpotency:
@@ -561,10 +558,9 @@ def ar_sequence(win, w: StringWord, fieldobj):
 
     mods = [sm for sm, _, _ in summands]
     middle, incls, _projs = modules.direct_sum(mods)
-    f = None
-    for (sm, comp, _), incl in zip(summands, incls):
-        term = modules.compose(incl, comp)
-        f = term if f is None else f + term
+    f = sum((modules.compose(incl, comp)
+             for (_, comp, _), incl in zip(summands, incls)),
+            modules.ModuleMorphism(m, middle, {}))
     f.validate()
     if f.rank() != m.total_dim():
         raise StringError("combined almost split map is not injective")
@@ -611,7 +607,7 @@ def _predict_end(ctx, w):
                 cur = s.word
         enc = canonical(cur, ctx.quiver)
         if enc not in [canonical(r, ctx.quiver) for r in results]:
-            results.append(StringWord(enc[0], tuple(enc[1:])))
+            results.append(StringWord.decode(enc))
     return results
 
 
@@ -689,11 +685,11 @@ def knit_component(win, seed: StringWord, steps: int, fieldobj,
             stable_middles.append(cenc)
             edge_maps.append(comp)
             if cenc not in nodes:
-                nodes[cenc] = StringWord(cenc[0], tuple(cenc[1:]))
+                nodes[cenc] = StringWord.decode(cenc)
                 queue.append(cenc)
         end_enc = canonical(seq.meta["end_word"], ctx.quiver)
         if end_enc not in nodes:
-            nodes[end_enc] = StringWord(end_enc[0], tuple(end_enc[1:]))
+            nodes[end_enc] = StringWord.decode(end_enc)
             queue.append(end_enc)
         for cenc, emap in zip(stable_middles, edge_maps):
             label = classifier(emap) if classifier is not None else None
@@ -706,10 +702,6 @@ def knit_component(win, seed: StringWord, steps: int, fieldobj,
 
 
 # -- component export ----------------------------------------------------------
-
-def _word_of(enc) -> StringWord:
-    return StringWord(enc[0], tuple(enc[1:]))
-
 
 def _dim_sequence(win, w: StringWord) -> str:
     degs = {}
@@ -763,9 +755,10 @@ def component_table(comp: ARQuiverComponent) -> str:
     """Machine-readable component table, one mesh per record."""
     lines = ["# mesh\tstart\tmiddles\tprojective\tend\twindow"]
     for i, mesh in enumerate(comp.meshes):
-        middles = "+".join(str(_word_of(m)) for m in mesh.middles)
+        middles = "+".join(str(StringWord.decode(m)) for m in mesh.middles)
         proj = ("%s@%d" % mesh.projective) if mesh.projective else "-"
         lines.append("%d\t%s\t%s\t%s\t%s\t%d..%d"
-                     % (i, _word_of(mesh.start), middles, proj,
-                        _word_of(mesh.end), mesh.window[0], mesh.window[1]))
+                     % (i, StringWord.decode(mesh.start), middles, proj,
+                        StringWord.decode(mesh.end), mesh.window[0],
+                        mesh.window[1]))
     return "\n".join(lines) + "\n"

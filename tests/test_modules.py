@@ -1,7 +1,15 @@
+import ast
+import os
+
 import pytest
 
 from repstable.fields import PrimeField, QQ
-from repstable.repetitive import proj_injective_module, radical_of_projective
+from repstable.presentation import parse_presentation
+from repstable.repetitive import (
+    build_repetitive_window,
+    proj_injective_module,
+    radical_of_projective,
+)
 from repstable import linalg, modules, strings
 
 
@@ -189,6 +197,57 @@ def test_decompose_explicit_sum(a2_win, field):
         term = modules.compose(incl, proj)
         ident = term if ident is None else ident + term
     assert (ident - modules.identity_morphism(total)).is_zero()
+
+
+def test_decompose_without_a_candidate_summand_raises(a2_win, field):
+    # Nothing is sampled: once no candidate splits off, the error comes at
+    # once and carries the summands already peeled.
+    P = proj_injective_module(a2_win, "1", 0, field)
+    s = simple(a2_win, field, "2", 2)
+    total, _, _ = modules.direct_sum([P, s])
+    with pytest.raises(modules.DecomposeError) as info:
+        modules.decompose(total, candidates=[s])
+    assert [part.key() for part, _, _ in info.value.partial] == [s.key()]
+
+
+TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
+           "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=repr)
+def test_non_isomorphism_is_exact(fld):
+    # Two string modules with equal dimension vectors and a one-dimensional
+    # Hom space in each direction, none of it invertible.
+    win = build_repetitive_window(parse_presentation(TWOLOOP), 0, 3)
+    a, b = (strings.string_module(
+        win, strings.StringWord("1@1", (("a@1", 1), ("m@1", sign))), fld)
+        for sign in (-1, 1))
+    assert a.dims == b.dims
+    for x, y in ((a, b), (b, a)):
+        assert modules.find_isomorphism(x, y) is None
+        hom = modules.hom_basis(x, y)
+        assert len(hom) == 1
+        rad = modules.radical_hom(x, y)
+        assert [modules.morphism_to_text(h) for h in rad] == \
+            [modules.morphism_to_text(h) for h in hom]
+
+
+def test_no_module_imports_random():
+    # Every decision is exact; a seeded search must not come back.
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "repstable")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "random" for m in mods), name
 
 
 def test_module_serialization_roundtrip(a2_win, field):

@@ -1,6 +1,6 @@
 import pytest
 
-from repstable.fields import QQ
+from repstable.fields import PrimeField, QQ
 from repstable.presentation import parse_presentation
 from repstable.repetitive import (
     build_repetitive_window,
@@ -207,6 +207,20 @@ def test_mesh_edges_are_irreducible(ex4_win, field):
             assert verdict.kind != "not_irreducible"
             checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mesh_edges_certified_in_small_characteristic(ex4, p):
+    # The radical of an endomorphism ring is found through eigenvalues, not
+    # through the total trace, which vanishes whenever p divides the total
+    # dimension; so certification works in every characteristic.
+    win = build_repetitive_window(ex4, -1, 2)
+    comp = strings.knit_component(win, StringWord("2@0", ()), 3,
+                                  PrimeField(p))
+    verdicts = [str(stable.classify_irreducible(emap, certify=True,
+                                                universe_dim=6))
+                for mesh in comp.meshes for emap in mesh.edge_maps]
+    assert verdicts == ["sirr(0)"] * 5
 
 
 def test_component_exports_deterministic(ex4_win, field):
