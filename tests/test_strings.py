@@ -211,9 +211,9 @@ def test_mesh_edges_are_irreducible(ex4_win, field):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_mesh_edges_certified_in_small_characteristic(ex4, p):
-    # The radical of an endomorphism ring is found through eigenvalues, not
-    # through the total trace, which vanishes whenever p divides the total
-    # dimension; so certification works in every characteristic.
+    # The radical of an endomorphism ring is found through eigenvalues at
+    # one vertex, not the total trace over the total dimension, which
+    # cannot be divided when p divides that dimension.
     win = build_repetitive_window(ex4, -1, 2)
     comp = strings.knit_component(win, StringWord("2@0", ()), 3,
                                   PrimeField(p))
