@@ -282,3 +282,70 @@ def test_split_mono_implies_zero_kernel(a2_win, field):
     assert modules.kernel_cokernel(incls[0]).ker.total_dim() == 0
     assert modules.is_split_epi(projs[1])
     assert modules.kernel_cokernel(projs[1]).coker.total_dim() == 0
+
+
+def _module(win, fld, dims, acts):
+    z = fld.zero()
+    return modules.GradedModule(
+        win, fld, dims,
+        {an: [[fld.of_int(x) if x else z for x in row] for row in m]
+         for an, m in acts.items()})
+
+
+def test_validate_rejects_violated_monomial_relation(a3_win, field):
+    # a@0*b@0 is a zero relation of A3.
+    m = _module(a3_win, field, {"1@0": 1, "2@0": 1, "3@0": 1},
+                {"a@0": [[1]], "b@0": [[1]]})
+    with pytest.raises(modules.ModuleError, match="monomial relation a@0"):
+        m.validate()
+    _module(a3_win, field, {"1@0": 1, "2@0": 1, "3@0": 1},
+            {"a@0": [[1]], "b@0": [[0]]}).validate()
+
+
+def test_validate_rejects_violated_binomial_relation(a3_win, field):
+    # hat_a@0*a@1 = b@0*hat_b@0 in the repetitive algebra of A3; every
+    # zero relation through these vertices leaves the support.
+    dims = {"2@0": 1, "1@1": 1, "3@0": 1, "2@1": 1}
+    acts = {"hat_a@0": [[1]], "a@1": [[1]], "b@0": [[1]]}
+    bad = _module(a3_win, field, dims, {**acts, "hat_b@0": [[2]]})
+    with pytest.raises(modules.ModuleError, match="binomial relation"):
+        bad.validate()
+    _module(a3_win, field, dims, {**acts, "hat_b@0": [[1]]}).validate()
+
+
+def test_validate_module_avoiding_every_relation_source(a3_win, field):
+    # No relation of the window starts at 3@2, 2@3 or 3@3; the path
+    # 3@2 -> 2@3 -> 3@3 lies inside b@2*hat_b@2*b@3, which starts at 2@2.
+    sources = {r.path.source for r in a3_win.presentation.relations}
+    dims = {"3@2": 1, "2@3": 1, "3@3": 1}
+    assert not sources & set(dims)
+    m = _module(a3_win, field, dims, {"hat_b@2": [[1]], "b@3": [[1]]})
+    assert m.validate() is m
+
+
+def test_morphism_validate_rejects_a_perturbed_block(a3_win, field):
+    P = proj_injective_module(a3_win, "1", 0, field)
+    ident = modules.identity_morphism(P)
+    ident.validate()
+    support_arrows = [a for a in a3_win.table.arrows
+                      if P.dim(a.source) and P.dim(a.target)]
+    assert support_arrows
+    for a in support_arrows:
+        for v in (a.source, a.target):
+            blocks = {u: [list(row) for row in b]
+                      for u, b in ident.blocks.items()}
+            blocks[v][0][0] = blocks[v][0][0] + field.one()
+            bad = modules.ModuleMorphism(P, P, blocks)
+            with pytest.raises(modules.ModuleError, match="does not commute"):
+                bad.validate()
+
+
+def test_solve_morphisms_inconsistent_affine_row(a2_win, field):
+    # L∘X = id_S with L zero has no solution: its constraint rows have no
+    # variables but a nonzero right-hand side.
+    s = simple(a2_win, field, "1", 1)
+    P = proj_injective_module(a2_win, "1", 1, field)
+    for n in (s, P):
+        zero = modules.ModuleMorphism(n, s, {})
+        assert modules.solve_morphisms(modules.identity_morphism(s),
+                                       [("L", zero)]) is None
