@@ -55,12 +55,13 @@ class RationalField:
     """The field of rational numbers; elements are ``fractions.Fraction``."""
 
     characteristic = 0
+    _zero, _one = Fraction(0), Fraction(1)
 
     def zero(self):
-        return Fraction(0)
+        return self._zero
 
     def one(self):
-        return Fraction(1)
+        return self._one
 
     def of_int(self, n: int):
         return Fraction(n)
@@ -93,12 +94,13 @@ class PrimeField:
                         if d * d <= p):
             raise ValueError("characteristic must be prime, got %d" % p)
         self.characteristic = p
+        self._zero, self._one = Mod(0, p), Mod(1, p)
 
     def zero(self):
-        return Mod(0, self.characteristic)
+        return self._zero
 
     def one(self):
-        return Mod(1, self.characteristic)
+        return self._one
 
     def of_int(self, n: int):
         return Mod(n, self.characteristic)

@@ -1,9 +1,18 @@
-"""Dense exact linear algebra over a field object from :mod:`repstable.fields`.
+"""Exact linear algebra over a field object from :mod:`repstable.fields`.
 
 Matrices are plain lists of row lists.  An ``r x c`` matrix with ``r == 0``
 is ``[]`` and with ``c == 0`` is ``[[], ..., []]``; all routines accept these
 degenerate shapes, which arise constantly from zero-dimensional vertex
 spaces.
+
+All elimination runs through one sparse core, :func:`_eliminate`, over rows
+stored as ``{column: nonzero entry}``: the systems this package solves are
+almost empty, so work is done only on nonzeros.  The core returns the
+reduced row echelon form, which is unique, so results do not depend on the
+order it eliminates in.  :func:`rref`, :func:`rank`, :func:`nullspace`,
+:func:`solve` and :func:`column_space_basis` are the dense boundary: they
+take and return plain matrices.  Callers that build their systems as
+sparse rows use :func:`nullspace_rows` and :func:`solve_rows`.
 """
 
 from __future__ import annotations
@@ -83,32 +92,85 @@ def transpose(field, a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
+def _subtract(dst: dict, f, src: dict, skip: int):
+    """``dst -= f * src`` over the nonzeros of ``src`` other than column
+    ``skip``, dropping the entries that cancel."""
+    for k, y in src.items():
+        if k != skip:
+            x = dst.get(k)
+            if x is None:
+                dst[k] = -f * y
+            else:
+                x = x - f * y
+                if x:
+                    dst[k] = x
+                else:
+                    del dst[k]
+
+
+def _eliminate(field, rows):
+    """Reduced row echelon form of sparse rows ``{column: nonzero}``, as a
+    list of (pivot column, row) sorted by pivot column; zero rows vanish.
+
+    Each incoming row is reduced by the pivot rows whose pivot columns it
+    touches, over their nonzeros only.  What is left, if anything, becomes
+    a pivot row at its first column, is scaled to a leading one and is
+    eliminated out of the earlier pivot rows, so every pivot row stays
+    zero in every other pivot column and starts at its own."""
+    one = field.one()
+    pivots = {}
+    for src in rows:
+        row = dict(src)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        lead = row[c]
+        if lead != one:
+            inv = one / lead
+            row = {k: x * inv for k, x in row.items()}
+        for prow in pivots.values():
+            f = prow.pop(c, None)
+            if f is not None:
+                _subtract(prow, f, row, c)
+        pivots[c] = row
+    return sorted(pivots.items())
+
+
+def _sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _kernel(field, reduced, ncols):
+    """Nullspace basis from a reduced echelon form: one vector per free
+    column, that column set to one."""
+    z, o = field.zero(), field.one()
+    pivot_cols = {pc for pc, _ in reduced}
+    basis = {}
+    for fc in range(ncols):
+        if fc not in pivot_cols:
+            vec = basis[fc] = [z] * ncols
+            vec[fc] = o
+    for pc, row in reduced:
+        for k, x in row.items():
+            if k != pc:
+                basis[k][pc] = -x
+    return list(basis.values())
+
+
 def rref(field, a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = copy(a)
-    rows, cols = shape(m)
+    rows, cols = shape(a)
+    z = field.zero()
+    red = [[z] * cols for _ in range(rows)]
     pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.one() / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    for r, (pc, row) in enumerate(_eliminate(field, _sparse(a))):
+        out = red[r]
+        for k, x in row.items():
+            out[k] = x
+        pivots.append(pc)
+    return red, pivots
 
 
 def rank(field, a) -> int:
@@ -117,41 +179,51 @@ def rank(field, a) -> int:
 
 def nullspace(field, a):
     """Basis of the right kernel of ``a``, as a list of column vectors."""
-    rows, cols = shape(a)
     red, pivots = rref(field, a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    z, o = field.zero(), field.one()
-    for fc in free:
-        vec = [z] * cols
-        vec[fc] = o
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+    return _kernel(field, list(zip(pivots, _sparse(red[:len(pivots)]))),
+                   shape(a)[1])
+
+
+def nullspace_rows(field, rows, ncols: int):
+    """:func:`nullspace` of the matrix with ``ncols`` columns whose rows
+    are the sparse ``rows``; dense basis vectors."""
+    return _kernel(field, _eliminate(field, rows), ncols)
 
 
 def solve(field, a, b):
-    """One solution ``x`` of ``a @ x = b`` with ``b`` a matrix, or None."""
+    """One solution ``x`` of ``a @ x = b`` with ``b`` a matrix, or None.
+    Free variables are set to zero."""
     rows, cols = shape(a)
     rb, cb = shape(b)
     if rb != rows:
         raise ValueError("rhs has %d rows, expected %d" % (rb, rows))
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
-    red, pivots = rref(field, aug)
-    for r in range(len(pivots)):
-        if pivots[r] >= cols:
-            return None
-    # Rows beyond the pivot count must be identically zero on the rhs too.
-    for r in range(len(pivots), rows):
-        if any(red[r][cols + j] for j in range(cb)):
-            return None
+    red, pivots = rref(field, [list(a[i]) + list(b[i]) for i in range(rows)])
+    if pivots and pivots[-1] >= cols:
+        return None
     z = field.zero()
     x = [[z] * cb for _ in range(cols)]
     for r, pc in enumerate(pivots):
-        for j in range(cb):
-            x[pc][j] = red[r][cols + j]
+        x[pc] = red[r][cols:]
+    return x
+
+
+def solve_rows(field, rows, rhs, ncols: int):
+    """One solution, as a list of ``ncols`` values, of the system whose
+    equations are the sparse ``rows`` with right-hand sides ``rhs``, or
+    None.  Free variables are set to zero."""
+    aug = []
+    for row, y in zip(rows, rhs):
+        if y:
+            row = dict(row)
+            row[ncols] = y
+        aug.append(row)
+    reduced = _eliminate(field, aug)
+    if reduced and reduced[-1][0] == ncols:
+        return None
+    z = field.zero()
+    x = [z] * ncols
+    for pc, row in reduced:
+        x[pc] = row.get(ncols, z)
     return x
 
 

@@ -51,13 +51,17 @@ class DecomposeError(Exception):
 
 class QuiverTable:
     """The vertices of one quiver, in the order that lays out every linear
-    system over it, and its arrows sorted by name.  Built once per quiver
-    and shared by every representation of it."""
+    system over it, and its arrows sorted by name, also grouped by source.
+    Built once per quiver and shared by every representation of it."""
 
     def __init__(self, quiver, vertices):
         self.quiver = quiver
         self.vertices = tuple(vertices)
+        self.position = {v: i for i, v in enumerate(self.vertices)}
         self.arrows = tuple(quiver.sorted_arrows())
+        self.arrows_from = {}
+        for a in self.arrows:
+            self.arrows_from.setdefault(a.source, []).append(a)
 
 
 class RepView:
@@ -86,7 +90,12 @@ class RepView:
         return not self.dims
 
     def sorted_support(self) -> list:
-        return [v for v in self.table.vertices if v in self.dims]
+        return sorted(self.dims, key=self.table.position.__getitem__)
+
+    def support_arrows(self):
+        """The arrows starting in the support, by source vertex."""
+        arrows_from = self.table.arrows_from
+        return [a for v in self.dims for a in arrows_from.get(v, ())]
 
     def act(self, name: str):
         m = self.acts.get(name)
@@ -97,10 +106,18 @@ class RepView:
         return m
 
     def eval_path(self, p: PathWord):
-        """Matrix of a path acting on this representation."""
-        m = linalg.identity(self.field, self.dim(p.source))
-        for an in p.arrows:
-            m = linalg.mat_mul(self.field, self.act(an), m)
+        """Matrix of a path acting on this representation; the zero matrix,
+        without products, when an arrow of the path acts by zero."""
+        acts = self.acts
+        if not p.arrows:
+            return linalg.identity(self.field, self.dim(p.source))
+        if not all(an in acts for an in p.arrows):
+            return linalg.zeros(self.field,
+                                self.dim(p.target(self.table.quiver)),
+                                self.dim(p.source))
+        m = acts[p.arrows[0]]
+        for an in p.arrows[1:]:
+            m = linalg.mat_mul(self.field, acts[an], m)
         return m
 
     def key(self):
@@ -140,7 +157,12 @@ class GradedModule(RepView):
             if linalg.shape(m) != want:
                 raise ModuleError("matrix for %s has shape %s, want %s"
                                   % (an, linalg.shape(m), want))
-        for rel in self.win.presentation.relations:
+        # A path from a zero space acts by an empty matrix, so only the
+        # relations starting in the support are checked, in their order.
+        pres = self.win.presentation
+        for i in sorted(i for v in self.dims
+                        for i in pres.relations_from.get(v, ())):
+            rel = pres.relations[i]
             if rel.kind == "monomial":
                 if not linalg.is_zero(self.eval_path(rel.path)):
                     raise ModuleError("monomial relation %s violated" % rel)
@@ -203,7 +225,11 @@ class ModuleMorphism:
         if self.source.table is not self.target.table:
             raise ModuleError("morphism endpoints live on different quivers")
         f = self.source.field
-        for a in self.source.table.arrows:
+        for a in self.source.support_arrows():
+            # Both composites are empty unless the arrow also ends in the
+            # target's support.
+            if not self.target.dim(a.target):
+                continue
             lhs = linalg.mat_mul(f, self.block(a.target), self.source.act(a.name))
             rhs = linalg.mat_mul(f, self.target.act(a.name), self.block(a.source))
             if linalg.shape(lhs) == linalg.shape(rhs):
@@ -273,10 +299,24 @@ def compose(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
 
 # -- linear systems over unknown block families -----------------------------
 
+def _accumulate(row: dict, var: int, c):
+    """Add ``c`` to the coefficient of ``var`` in a sparse row, dropping it
+    when it cancels."""
+    x = row.get(var)
+    if x is not None:
+        c = x + c
+        if not c:
+            del row[var]
+            return
+    row[var] = c
+
+
 class MorphismSystem:
     """Affine linear system whose unknowns are block families of morphisms
     between representations of one quiver; the engine behind
-    :func:`hom_basis` and :func:`solve_morphisms`."""
+    :func:`hom_basis` and :func:`solve_morphisms`.  Each equation is a
+    sparse row ``{variable: nonzero coefficient}`` in ``rows`` with its
+    right-hand side at the same index of ``rhs``."""
 
     def __init__(self, fieldobj):
         self.field = fieldobj
@@ -288,55 +328,61 @@ class MorphismSystem:
 
     def unknown(self, src: RepView, tgt: RepView) -> int:
         lay = {}
-        for v in src.table.vertices:
-            r, c = tgt.dim(v), src.dim(v)
-            if r and c:
+        for v in src.sorted_support():
+            r, c = tgt.dim(v), src.dims[v]
+            if r:
                 lay[v] = (self.nvars, r, c)
                 self.nvars += r * c
         self.unknowns.append((src, tgt))
         self.layout.append(lay)
         return len(self.unknowns) - 1
 
-    def _var(self, idx, v, i, j):
-        off, r, c = self.layout[idx][v]
-        return off + i * c + j
-
     def require_commutes(self, idx: int):
+        """Rows for f_w A = B f_u on every arrow u -> w acting by A on the
+        source and B on the target, visiting only the arrows from the
+        source's support into the target's."""
         src, tgt = self.unknowns[idx]
+        lay = self.layout[idx]
         z = self.field.zero()
-        for arr in src.table.arrows:
+        for arr in src.support_arrows():
             name, u, w = arr.name, arr.source, arr.target
-            a_src = src.act(name)
-            a_tgt = tgt.act(name)
-            rows_out = tgt.dim(w)
-            cols_out = src.dim(u)
+            rows_out, cols_out = tgt.dim(w), src.dims[u]
+            if not rows_out:
+                continue
+            a_src = src.acts.get(name) if w in lay else None
+            a_tgt = tgt.acts.get(name) if u in lay else None
+            if a_src is None and a_tgt is None:
+                continue
+            if a_src is not None:
+                # (f_w A)_ij: coefficient A[k][j] on f_w[i][k]
+                w_off, _, w_cols = lay[w]
+                a_cols = [[(k, r[j]) for k, r in enumerate(a_src) if r[j]]
+                          for j in range(cols_out)]
+            if a_tgt is not None:
+                # -(B f_u)_ij: coefficient -B[i][k] on f_u[k][j]
+                u_off, _, u_cols = lay[u]
+                b_rows = [[(k, -x) for k, x in enumerate(r) if x]
+                          for r in a_tgt]
             for i in range(rows_out):
                 for j in range(cols_out):
-                    row = [z] * self.nvars
-                    any_coeff = False
-                    # (f_w A)_ij: coeff of f_w[i][k] is A[k][j]
-                    if w in self.layout[idx]:
-                        for k in range(src.dim(w)):
-                            cval = a_src[k][j]
-                            if cval:
-                                row[self._var(idx, w, i, k)] = cval
-                                any_coeff = True
-                    # -(B f_u)_ij: coeff of f_u[k][j] is -B[i][k]
-                    if u in self.layout[idx]:
-                        for k in range(tgt.dim(u)):
-                            cval = a_tgt[i][k]
-                            if cval:
-                                var = self._var(idx, u, k, j)
-                                row[var] = row[var] - cval
-                                any_coeff = True
-                    if any_coeff:
+                    row = {}
+                    if a_src is not None:
+                        base = w_off + i * w_cols
+                        for k, cval in a_cols[j]:
+                            row[base + k] = cval
+                    if a_tgt is not None:
+                        for k, cval in b_rows[i]:
+                            _accumulate(row, u_off + k * u_cols + j, cval)
+                    if row:
                         self.rows.append(row)
                         self.rhs.append(z)
 
     def require_affine(self, terms, rhs: "ModuleMorphism"):
         """Add rows for  sum of terms == rhs, where each term is
         ("L", L, idx) contributing L∘f or ("R", R, idx) contributing f∘R
-        for the unknown f numbered idx."""
+        for the unknown f numbered idx.  A row without variables is kept
+        when its right-hand side is nonzero: it makes the system
+        inconsistent."""
         zero = self.field.zero()
         for v in rhs.target.table.vertices:
             zr = rhs.target.dim(v)
@@ -344,55 +390,42 @@ class MorphismSystem:
             if not zr or not wc:
                 continue
             rhs_m = rhs.blocks.get(v)
+            parts = []
+            for side, known, idx in terms:
+                lay = self.layout[idx].get(v)
+                m = known.blocks.get(v)
+                if lay is not None and m is not None:
+                    parts.append((side, m, lay))
             for i in range(zr):
                 for j in range(wc):
-                    row = [zero] * self.nvars
-                    for side, known, idx in terms:
-                        lay = self.layout[idx].get(v)
-                        m = known.blocks.get(v)
-                        if lay is None or m is None:
-                            continue
-                        _, fr, fc = lay
+                    row = {}
+                    for side, m, (off, fr, fc) in parts:
                         if side == "L":
                             for k in range(fr):
-                                cval = m[i][k]
-                                if cval:
-                                    var = self._var(idx, v, k, j)
-                                    row[var] = row[var] + cval
+                                if m[i][k]:
+                                    _accumulate(row, off + k * fc + j,
+                                                m[i][k])
                         else:
                             for k in range(fc):
-                                cval = m[k][j]
-                                if cval:
-                                    var = self._var(idx, v, i, k)
-                                    row[var] = row[var] + cval
-                    self.rows.append(row)
-                    self.rhs.append(rhs_m[i][j] if rhs_m is not None else zero)
+                                if m[k][j]:
+                                    _accumulate(row, off + i * fc + k,
+                                                m[k][j])
+                    y = rhs_m[i][j] if rhs_m is not None else zero
+                    if row or y:
+                        self.rows.append(row)
+                        self.rhs.append(y)
 
     def solve(self):
         """One solution as a list of block dicts, or None."""
-        a = self.rows if self.rows else []
-        b = [[x] for x in self.rhs]
-        if not a:
-            sol = [self.field.zero()] * self.nvars
-        else:
-            x = linalg.solve(self.field, a, b)
-            if x is None:
-                return None
-            sol = [row[0] for row in x]
-        return self._unpack(sol)
+        sol = linalg.solve_rows(self.field, self.rows, self.rhs, self.nvars)
+        return None if sol is None else self._unpack(sol)
 
     def solution_space(self):
         """All solutions of the homogeneous system, as block dicts."""
-        if any(self.rhs[i] for i in range(len(self.rhs))):
+        if any(self.rhs):
             raise ModuleError("solution_space requires a homogeneous system")
-        if self.nvars == 0:
-            return []
-        if not self.rows:
-            vecs = [[self.field.one() if i == j else self.field.zero()
-                     for i in range(self.nvars)] for j in range(self.nvars)]
-        else:
-            vecs = linalg.nullspace(self.field, self.rows)
-        return [self._unpack(v) for v in vecs]
+        return [self._unpack(v) for v in
+                linalg.nullspace_rows(self.field, self.rows, self.nvars)]
 
     def _unpack(self, sol):
         out = []

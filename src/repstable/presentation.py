@@ -151,6 +151,10 @@ class AlgebraPresentation:
                 if rel.path.arrows == rel.other.arrows:
                     raise PresentationError(
                         "binomial sides are identical: %s" % rel)
+        # Vertex -> indices of the relations whose paths start there.
+        self.relations_from = {}
+        for i, rel in enumerate(self.relations):
+            self.relations_from.setdefault(rel.path.source, []).append(i)
         self._monomials = tuple(sorted(
             r.path.arrows for r in relations if r.kind == "monomial"))
         # Oriented rewrites: larger side (graded, then lexicographic) maps to

@@ -3,7 +3,8 @@
 ``reference_rref`` is the plain dense Gauss-Jordan elimination the kernel
 started from.  The reduced row echelon form of a matrix is unique, so
 every routine of :mod:`repstable.linalg` must agree with it exactly, in
-every field, whatever order the kernel eliminates in.
+every field, whatever order the kernel eliminates in; the sparse-row entry
+points must agree with the dense ones.
 """
 
 import random
@@ -129,6 +130,23 @@ def check_all(field, a, b):
     for vec in linalg.nullspace(field, a):
         prod = linalg.mat_mul(field, a, [[x] for x in vec])
         assert linalg.is_zero(prod)
+    check_sparse_rows(field, a, b)
+
+
+def check_sparse_rows(field, a, b):
+    """The sparse-row entry points agree with the dense ones column by
+    column, whatever the row order."""
+    cols = linalg.shape(a)[1]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    kernel = linalg.nullspace(field, a)
+    assert linalg.nullspace_rows(field, rows, cols) == kernel
+    assert linalg.nullspace_rows(field, rows[::-1], cols) == kernel
+    for j in range(linalg.shape(b)[1]):
+        rhs = [row[j] for row in b]
+        dense = linalg.solve(field, a, [[y] for y in rhs])
+        want = None if dense is None else [row[0] for row in dense]
+        assert linalg.solve_rows(field, rows, rhs, cols) == want
+        assert linalg.solve_rows(field, rows[::-1], rhs[::-1], cols) == want
 
 
 @st.composite
@@ -182,6 +200,13 @@ def test_degenerate_shapes(field):
     assert linalg.nullspace(field, [[], []]) == []
     assert linalg.solve(field, [[], []], [[z], [z]]) == []
     assert linalg.solve(field, [[], []], [[z], [o]]) is None
+    # Sparse rows: no rows at all, and rows without variables.
+    assert linalg.nullspace_rows(field, [], 2) == [[o, z], [z, o]]
+    assert linalg.nullspace_rows(field, [], 0) == []
+    assert linalg.solve_rows(field, [], [], 2) == [z, z]
+    assert linalg.solve_rows(field, [{}, {}], [z, z], 0) == []
+    assert linalg.solve_rows(field, [{}, {}], [z, o], 0) is None
+    assert linalg.solve_rows(field, [{0: o}, {}], [o, o], 1) is None
     # 1 x 1
     for x in (z, o, field.of_int(2)):
         check_all(field, [[x]], [[o]])
@@ -197,6 +222,10 @@ def test_inconsistent_right_hand_side(field):
     assert linalg.solve(field, a, [[o], [z], [z]]) is None
     assert linalg.solve(field, a, [[z], [z], [o]]) is None
     assert linalg.solve(field, a, [[o], [o], [z]]) == [[o], [z], [z]]
+    rows = [{0: o, 1: o}, {0: o, 1: o}, {}]
+    assert linalg.solve_rows(field, rows, [o, z, z], 3) is None
+    assert linalg.solve_rows(field, rows, [z, z, o], 3) is None
+    assert linalg.solve_rows(field, rows, [o, o, z], 3) == [o, z, z]
     check_all(field, a, [[o], [z], [z]])
 
 
