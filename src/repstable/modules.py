@@ -384,10 +384,9 @@ class MorphismSystem:
         when its right-hand side is nonzero: it makes the system
         inconsistent."""
         zero = self.field.zero()
-        for v in rhs.target.table.vertices:
+        for v, wc in rhs.source.dims.items():
             zr = rhs.target.dim(v)
-            wc = rhs.source.dim(v)
-            if not zr or not wc:
+            if not zr:
                 continue
             rhs_m = rhs.blocks.get(v)
             parts = []

@@ -169,7 +169,7 @@ def systems(draw):
     return field, a, b
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(systems())
 def test_kernel_matches_dense_reference(system):
     field, a, b = system
