@@ -11,8 +11,9 @@ almost empty, so work is done only on nonzeros.  The core returns the
 reduced row echelon form, which is unique, so results do not depend on the
 order it eliminates in.  :func:`rref`, :func:`rank`, :func:`nullspace`,
 :func:`solve` and :func:`column_space_basis` are the dense boundary: they
-take and return plain matrices.  Callers that build their systems as
-sparse rows use :func:`nullspace_rows` and :func:`solve_rows`.
+take and return plain matrices, and reach the core through :func:`rref`.
+Callers that build their systems as sparse rows use :func:`nullspace_rows`
+and :func:`solve_rows`.
 """
 
 from __future__ import annotations
