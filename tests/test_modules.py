@@ -1,5 +1,6 @@
 import ast
 import os
+import sys
 
 import pytest
 
@@ -233,7 +234,9 @@ def test_non_isomorphism_is_exact(fld):
 
 
 def test_no_module_imports_random():
-    # Every decision is exact; a seeded search must not come back.
+    # Every decision is exact; a seeded search must not come back.  The
+    # package stays stdlib-only: every absolute import names a module of
+    # the standard library.
     src = os.path.join(os.path.dirname(__file__), "..", "src", "repstable")
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
@@ -243,11 +246,14 @@ def test_no_module_imports_random():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 mods = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
             else:
                 continue
-            assert not any(m.split(".")[0] == "random" for m in mods), name
+            tops = [m.split(".")[0] for m in mods]
+            assert "random" not in tops, name
+            for top in tops:
+                assert top in sys.stdlib_module_names, (name, top)
 
 
 def test_module_serialization_roundtrip(a2_win, field):
