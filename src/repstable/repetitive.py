@@ -247,17 +247,9 @@ class RepetitiveWindow:
                     "not special biserial" % v)
         for z in range(self.lo, self.hi):
             for v in sorted(base_q.vertices):
-                realizations = self._realizations[v]
-                if len(realizations) == 2:
-                    sides = []
-                    for p, k in realizations:
-                        x = p.suffix(len(p) - k, base_q)
-                        y = p.prefix(k)
-                        sides.append(PathWord(
-                            self.vname(v, z),
-                            self._lift(x, z).arrows + conn_word(p, z)
-                            + self._lift(y, z + 1).arrows))
-                    relations.append(RelationGen("binomial", sides[0], sides[1]))
+                if len(self._realizations[v]) == 2:
+                    relations.append(RelationGen("binomial",
+                                                 *self.socle_paths(v, z)))
 
         max_len = max((len(p) for p in self.base.path_basis()), default=0)
         self.presentation = AlgebraPresentation(
@@ -265,9 +257,19 @@ class RepetitiveWindow:
 
     # -- derived data ----------------------------------------------------
 
-    def biserial_base_vertices(self) -> list:
-        return [v for v in sorted(self.base.quiver.vertices)
-                if len(self._realizations[v]) == 2]
+    def socle_paths(self, v: str, z: int) -> list:
+        """The maximal paths out of window vertex ``(v, z)``, one per
+        realization ``(p, k)`` of a socle functional at ``v``: the lifted
+        suffix of ``p`` from position ``k``, the connector of ``p``, then
+        the lifted prefix of length ``k`` in degree ``z + 1``.  They end in
+        the socle of the projective at ``(v, z)``; where there are two, a
+        binomial relation identifies them."""
+        base_q = self.base.quiver
+        return [PathWord(self.vname(v, z),
+                         self._lift(p.suffix(len(p) - k, base_q), z).arrows
+                         + (self.conn_name(p, z),)
+                         + self._lift(p.prefix(k), z + 1).arrows)
+                for p, k in self._realizations[v]]
 
     def enlarged(self, k: int = 2) -> "RepetitiveWindow":
         return RepetitiveWindow(self.base, self.lo - k, self.hi + k)

@@ -278,11 +278,7 @@ def classify_irreducible(h, universe=None, universe_dim=None,
         if universe is None:
             bound = universe_dim or 2 * max(h.source.total_dim(),
                                             h.target.total_dim())
-            universe = [strings.string_module(win, w, fld)
-                        for w in strings.enumerate_strings(
-                            win, max(bound - 1, 0), interior_only=False)
-                        if len(w) + 1 <= bound]
-            universe = universe + win.all_projectives(fld)
+            universe = strings.decomposition_candidates(win, fld, bound)
             universe_dim = bound
         if rad_square_membership(h, universe):
             return IrredClass("not_irreducible", profile=rep.per_degree,
@@ -389,10 +385,18 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
     if not with_triangle:
         return report
     tri = triangle_from_ses(seq)
-    ends_ok = True
+
+    def named(key):
+        # The end term the sequence names, else the default candidates.
+        word = (seq.meta or {}).get(key)
+        if word is None:
+            return None
+        return [strings.string_module(f.source.win, word, f.source.field)]
+
     try:
-        ends_ok = (len(modules.decompose(f.source)) == 1
-                   and len(modules.decompose(g.target)) == 1)
+        ends_ok = all(len(modules.decompose(m, named(key))) == 1
+                      for m, key in ((f.source, "start_word"),
+                                     (g.target, "end_word")))
     except modules.DecomposeError:
         ends_ok = False
     report.art1 = ends_ok
@@ -435,11 +439,16 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
                 hints.append(strings.string_module(win, info["word"], fld))
         hints.extend(win.all_projectives(fld))
     parts = modules.decompose(seq.f.target, candidates=hints)
-    uni, bis = strings.projective_words(win)
+    # Every part is a candidate: a window projective, or a string module,
+    # projective exactly when its word is a uniserial projective word.
+    uni, _ = strings.projective_words(win)
+    quiver = win.presentation.quiver
     proj_parts = []
     free_parts = []
     for s, incl, proj in parts:
-        pv = _match_projective(win, s, fld)
+        pv = s.meta.get("projective")
+        if pv is None:
+            pv = uni.get(strings.canonical(s.meta["word"], quiver))
         if pv is not None:
             proj_parts.append((s, incl, proj, pv))
         else:
@@ -477,17 +486,6 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     tri = Triangle(h_free, hp_free, tri_full.hpp, tri_full.omega,
                    dict(tri_full.data, free_parts=len(free_parts)))
     return tri, phat_info
-
-
-def _match_projective(win, s, fld):
-    for z in range(win.lo, win.hi):
-        for v in sorted(win.base.quiver.vertices):
-            phat = win.projective(v, z, fld)
-            if sorted(phat.dims.items()) != sorted(s.dims.items()):
-                continue
-            if modules.find_isomorphism(s, phat) is not None:
-                return (v, z)
-    return None
 
 
 # -- the shape table -----------------------------------------------------------

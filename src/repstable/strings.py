@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg, modules
-from .presentation import PathWord
 
 
 class StringError(Exception):
@@ -245,7 +244,7 @@ def _position_morphism(src_mod, tgt_mod, pos_map, quiver):
 
 # -- enumeration ------------------------------------------------------------
 
-def enumerate_strings(win, max_len: int, fieldobj=None, interior_only=True,
+def enumerate_strings(win, max_len: int, interior_only=True,
                       with_bands=False):
     """All valid words up to the length bound, one representative per
     inverse pair, sorted by (length, encoding).  Band words are skipped
@@ -304,84 +303,39 @@ def enumerate_strings(win, max_len: int, fieldobj=None, interior_only=True,
 
 
 def decomposition_candidates(win, fieldobj, maxdim: int):
-    cands = [string_module(win, w, fieldobj)
+    """Every string module of the window up to dimension ``maxdim``, then
+    every window projective (whatever its dimension)."""
+    return ([string_module(win, w, fieldobj)
              for w in enumerate_strings(win, max(maxdim - 1, 0),
                                         interior_only=False)]
-    cands.extend(win.all_projectives(fieldobj))
-    return [c for c in cands if c.total_dim() <= maxdim]
+            + win.all_projectives(fieldobj))
 
 
 # -- words of the projective-injective modules --------------------------------
 
-def _arm_chain(win, v, z, first_arrow):
-    """One arm of the projective at (v, z): the normal-form basis paths
-    reached from a generator arrow by the unique nonzero continuation,
-    together with the arrows that were appended at each step."""
-    pres = win.presentation
-    first = pres.path_normal_form(PathWord(win.vname(v, z), (first_arrow,)))
-    chain = [first.path]
-    appended = [first_arrow]
-    while True:
-        at = chain[-1].target(pres.quiver)
-        nxt = None
-        step = None
-        for a in sorted(pres.quiver.arrows_out(at), key=lambda a: a.name):
-            nf = pres.path_normal_form(
-                PathWord(chain[-1].source, chain[-1].arrows + (a.name,)))
-            if not nf.is_zero:
-                if nxt is not None:
-                    raise StringError("arm continuation is not unique")
-                nxt, step = nf.path, a.name
-        if nxt is None:
-            return chain, appended
-        chain.append(nxt)
-        appended.append(step)
-
-
-def _generator_arrows(win, v, z):
-    pres = win.presentation
-    out = []
-    for a in sorted(pres.quiver.arrows_out(win.vname(v, z)),
-                    key=lambda a: a.name):
-        nf = pres.path_normal_form(PathWord(win.vname(v, z), (a.name,)))
-        if not nf.is_zero:
-            out.append(a.name)
-    return out
-
-
 def projective_words(win):
     """(uniserial words, biserial radical words): canonical encodings
-    mapped to the base vertex and degree of the projective they describe.
-    Uniserial projectives are themselves string modules; the radical of a
-    biserial projective is the two-arm walk through the socle."""
+    mapped to the base vertex and degree of the projective they describe,
+    read off the socle paths of each window vertex.  A projective with one
+    socle path is uniserial and is the string module of that direct walk.
+    The radical of a projective with two socle paths is the walk down the
+    first (by arrow names) after its first arrow and back up the second
+    to just below the top."""
     uni = {}
     bis = {}
-    biserial = set(win.biserial_base_vertices())
     quiver = win.presentation.quiver
     for z in range(win.lo, win.hi):
         for v in sorted(win.base.quiver.vertices):
-            gens = _generator_arrows(win, v, z)
-            vn = win.vname(v, z)
-            if v not in biserial:
-                if not gens:
-                    uni[canonical(StringWord(vn, ()), quiver)] = (v, z)
-                    continue
-                if len(gens) != 1:
-                    raise StringError("uniserial projective with two arms")
-                _, appended = _arm_chain(win, v, z, gens[0])
-                word = StringWord(vn, tuple((a, 1) for a in appended))
+            paths = win.socle_paths(v, z)
+            if len(paths) == 1:
+                word = StringWord(paths[0].source,
+                                  tuple((a, 1) for a in paths[0].arrows))
                 uni[canonical(word, quiver)] = (v, z)
             else:
-                if len(gens) != 2:
-                    raise StringError("biserial projective without two arms")
-                arm1, app1 = _arm_chain(win, v, z, gens[0])
-                arm2, app2 = _arm_chain(win, v, z, gens[1])
-                if arm1[-1].arrows != arm2[-1].arrows:
-                    raise StringError("arms do not meet in the socle")
-                down = tuple((a, 1) for a in app1[1:])
-                up = tuple((a, -1) for a in reversed(app2[1:]))
-                start = arm1[0].target(quiver)
-                word = StringWord(start, down + up)
+                down, up = sorted(p.arrows for p in paths)
+                word = StringWord(quiver.arrows[down[0]].target,
+                                  tuple((a, 1) for a in down[1:])
+                                  + tuple((a, -1) for a in reversed(up[1:])))
                 bis[canonical(word, quiver)] = (v, z)
     return uni, bis
 
@@ -425,12 +379,9 @@ def _extend_hook(ctx, w: StringWord, b: str) -> StringWord:
         cur = nxt
 
 
-def surgery_right(ctx, w: StringWord, forbid_hooks=frozenset(),
-                  prefer_hook: Optional[str] = None):
+def surgery_right(ctx, w: StringWord, forbid_hooks=frozenset()):
     """Hook if possible, else cohook deletion, else None."""
     cands = [b for b in _hook_candidates(ctx, w) if b not in forbid_hooks]
-    if prefer_hook is not None and prefer_hook in cands:
-        cands = [prefer_hook]
     if len(cands) > 1 and w.letters:
         raise StringError("ambiguous hook at a nontrivial end")
     if cands:
@@ -600,7 +551,7 @@ def _predict_end(ctx, w):
         cur = w
         for stage in order:
             if stage == "r":
-                s = surgery_right(ctx, cur, prefer_hook=None)
+                s = surgery_right(ctx, cur)
             else:
                 s = surgery_left(ctx, cur)
             if s is not None:
@@ -648,7 +599,7 @@ class ARQuiverComponent:
 
 
 def knit_component(win, seed: StringWord, steps: int, fieldobj,
-                   classifier=None, enlarge_cap: int = 10):
+                   classifier=None):
     """Breadth-first mesh completion from a seed word; projective-injective
     middles are dropped from the stable component.  Edges are labeled by
     the classifier (irreducible-map classification) when one is given."""

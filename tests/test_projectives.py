@@ -18,7 +18,7 @@ import pytest
 
 from repstable import modules, stable, strings
 from repstable.fields import QQ
-from repstable.presentation import parse_presentation
+from repstable.presentation import PathWord, parse_presentation
 from repstable.repetitive import build_repetitive_window
 from repstable.strings import StringWord
 
@@ -84,6 +84,35 @@ def test_projective_words_pinned(case):
     pinned = _pinned()
     for lo, hi in WINDOWS:
         assert render(case, lo, hi) == pinned["%s %d..%d" % (case, lo, hi)]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_binomial_relations_are_socle_path_pairs(case):
+    # The window identifies exactly the two socle paths of each biserial
+    # projective, in vertex order, and nothing else.
+    for lo, hi in WINDOWS:
+        win = build_repetitive_window(_presentation(case), lo, hi)
+        binomials = [(r.path, r.other) for r in win.presentation.relations
+                     if r.kind == "binomial"]
+        pairs = [tuple(win.socle_paths(v, z)) for z in range(lo, hi)
+                 for v in sorted(win.base.quiver.vertices)
+                 if len(win.socle_paths(v, z)) == 2]
+        assert binomials == pairs
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_socle_paths_are_maximal(case):
+    win = build_repetitive_window(_presentation(case), 0, 3)
+    pres = win.presentation
+    for z in range(win.lo, win.hi):
+        for v in sorted(win.base.quiver.vertices):
+            paths = win.socle_paths(v, z)
+            assert 1 <= len(paths) <= 2
+            for p in paths:
+                assert pres.is_nonzero(p)
+                for a in pres.quiver.arrows_out(p.target(pres.quiver)):
+                    assert not pres.is_nonzero(
+                        PathWord(p.source, p.arrows + (a.name,)))
 
 
 # -- naming the projective summand of a middle term ----------------------------

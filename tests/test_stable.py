@@ -167,6 +167,38 @@ def test_check_ar_axioms_pass_and_split_fail(a2_win, field):
     assert not rep.ars1
 
 
+TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
+           "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
+
+
+@pytest.mark.parametrize("key", ["start_word", "end_word"])
+def test_art1_rejects_a_wrongly_named_end_term(field, key):
+    # art1 decomposes each end term against the word the sequence names.
+    # M(a.m^-1) and M(a.m) have equal dimension vectors and are not
+    # isomorphic, so naming one for the other must fail art1.
+    from repstable.presentation import parse_presentation
+    from repstable.repetitive import build_repetitive_window
+    win = build_repetitive_window(parse_presentation(TWOLOOP), 0, 3)
+    seq, win = strings.ar_sequence(
+        win, StringWord("1@1", (("a@1", 1), ("m@1", -1))), field)
+    assert stable.check_ar_axioms(seq, []).art1
+    ctx = strings.window_context(win)
+    word = seq.meta[key]
+    flipped = StringWord(word.source, word.letters[:-1]
+                         + ((word.letters[-1][0], -word.letters[-1][1]),))
+    assert ctx.is_valid(flipped)
+    wrong = modules.ShortExactSeq(seq.f, seq.g, dict(seq.meta, **{
+        key: strings.canonical_word(flipped, ctx.quiver)}))
+    assert stable.check_ar_axioms(wrong, []).art1 is False
+
+
+def test_art1_without_meta_uses_default_candidates(a2_win, field):
+    seq, win = strings.ar_sequence(a2_win, StringWord("1@1", ()), field)
+    bare = modules.ShortExactSeq(seq.f, seq.g)
+    assert bare.meta is None
+    assert stable.check_ar_axioms(bare, []).art1 is True
+
+
 def test_ar_triangle_with_projective_middle(a2_win, field):
     seq, win = strings.ar_sequence(
         a2_win, StringWord("2@1", (("hat_a@1", 1),)), field)
