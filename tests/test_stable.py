@@ -3,7 +3,9 @@ import random
 import pytest
 
 from repstable.fields import PrimeField, QQ
+from repstable.presentation import parse_presentation
 from repstable.repetitive import (
+    build_repetitive_window,
     proj_injective_module,
     quotient_by_socle,
     radical_of_projective,
@@ -176,8 +178,6 @@ def test_art1_rejects_a_wrongly_named_end_term(field, key):
     # art1 decomposes each end term against the word the sequence names.
     # M(a.m^-1) and M(a.m) have equal dimension vectors and are not
     # isomorphic, so naming one for the other must fail art1.
-    from repstable.presentation import parse_presentation
-    from repstable.repetitive import build_repetitive_window
     win = build_repetitive_window(parse_presentation(TWOLOOP), 0, 3)
     seq, win = strings.ar_sequence(
         win, StringWord("1@1", (("a@1", 1), ("m@1", -1))), field)
