@@ -20,6 +20,10 @@ Design rules; new code uses these shared paths instead of copying them:
 - Every sub- or quotient module given by a basis is built by
   :func:`submodule` or :func:`quotient`, and every direct sum by
   :func:`direct_sum`.
+- A cache kept on a window holds the dimensions, actions and ``meta`` of
+  modules, never modules (``RepetitiveWindow.cached_modules``): a module
+  refers to its window, so a cached module would make a reference cycle
+  that only the cyclic garbage collector frees, window and caches with it.
 - Every decision is exact and deterministic; nothing is sampled.
   Isomorphism and summand tests search a Hom basis for an invertible
   element, which decides them when one side is indecomposable: its
@@ -442,6 +446,8 @@ def hom_basis(m: RepView, n: RepView) -> list:
     the commutation constraints."""
     if m.table is not n.table:
         raise ModuleError("hom_basis: representations of different quivers")
+    if m.dims.keys().isdisjoint(n.dims):
+        return []
     sys = MorphismSystem(m.field)
     idx = sys.unknown(m, n)
     sys.require_commutes(idx)

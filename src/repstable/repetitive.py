@@ -81,7 +81,22 @@ def maximal_paths(pres: AlgebraPresentation) -> list:
 
 class RepetitiveWindow:
     """Degrees ``lo..hi`` of the repetitive quiver with relations, plus the
-    vertex-degree map.  Built by :func:`build_repetitive_window`."""
+    vertex-degree map.  Built by :func:`build_repetitive_window`.
+
+    A window is never changed after it is built, so what is derived from
+    it is computed once and kept on it: the enlarged windows
+    (:meth:`enlarged`) and, through :meth:`cached_modules`, the
+    projectives and the decomposition candidates
+    (``strings.decomposition_candidates``).  Modules are kept as payloads
+    (dimensions, action matrices, ``meta``), never as module objects, and
+    each lookup wraps them in fresh :class:`modules.GradedModule` objects.
+    A module refers to its window, so a cached module would close a
+    reference cycle (window, cache, module, window) and keep every window
+    alive, caches and all, until the cyclic garbage collector runs;
+    payloads leave the window free as soon as the last module on it goes.
+    For the same reason an enlarged window does not refer back to the
+    window it was enlarged from.
+    """
 
     def __init__(self, base: AlgebraPresentation, lo: int, hi: int):
         report = validate_gentle(base)
@@ -98,7 +113,8 @@ class RepetitiveWindow:
             tag = p.arrows[0] if p.arrows else p.source
             self._conn_base[(p.source, p.arrows)] = "hat_%s" % tag
         self._build()
-        self._proj_cache = {}
+        self._enlarged = {}        # k -> window
+        self._module_cache = {}    # (key, field) -> payloads
 
     # -- naming ----------------------------------------------------------
 
@@ -272,15 +288,33 @@ class RepetitiveWindow:
                 for p, k in self._realizations[v]]
 
     def enlarged(self, k: int = 2) -> "RepetitiveWindow":
-        return RepetitiveWindow(self.base, self.lo - k, self.hi + k)
+        """The window with ``k`` more degrees on both sides; one per ``k``,
+        so its caches are shared by every caller."""
+        win = self._enlarged.get(k)
+        if win is None:
+            win = RepetitiveWindow(self.base, self.lo - k, self.hi + k)
+            self._enlarged[k] = win
+        return win
+
+    def cached_modules(self, key, field, build) -> list:
+        """The modules that ``build()`` returns, validated modules of this
+        window over ``field``, built once per ``key`` and ``field``.  Only
+        their payloads are kept; every call returns fresh modules."""
+        payloads = self._module_cache.get((key, field))
+        if payloads is None:
+            payloads = [(m.dims, m.acts, m.meta) for m in build()]
+            self._module_cache[(key, field)] = payloads
+        return [modules.GradedModule(self, field, *p) for p in payloads]
 
     def projective(self, v: str, z: int, field) -> "modules.GradedModule":
         """The indecomposable projective(-injective) at window vertex
         ``(v, z)``; its basis is the set of nonzero paths out of that
         vertex, so every window relation holds by construction."""
-        key = (v, z, field)
-        if key in self._proj_cache:
-            return self._proj_cache[key]
+        return self.cached_modules(
+            ("projective", v, z), field,
+            lambda: [self._build_projective(v, z, field)])[0]
+
+    def _build_projective(self, v: str, z: int, field):
         if not (self.lo <= z and z + 1 <= self.hi):
             raise WindowError("degree %d (and %d) must lie in the window"
                               % (z, z + 1))
@@ -315,9 +349,7 @@ class RepetitiveWindow:
         mod = modules.GradedModule(self, field, dims, acts,
                                    meta={"projective": (v, z),
                                          "basis": tuple(basis)})
-        mod.validate()
-        self._proj_cache[key] = mod
-        return mod
+        return mod.validate()
 
     def all_projectives(self, field) -> list:
         return [self.projective(v, z, field)

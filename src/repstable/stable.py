@@ -336,25 +336,40 @@ class ArAxiomReport:
     details: list = field(default_factory=list)
 
 
-def _stably_solvable(rhs, side, known) -> bool:
+def _hull_embedding(m):
+    """The injective hull embedding ι of ``m``, taken on a window with
+    room for it (``ι.source`` is ``m`` reembedded there if need be)."""
+    return modules.injective_hull(ensure_module_margin(m))[1]
+
+
+def _stably_solvable(rhs, side, known, iota) -> bool:
     """Whether rhs = L∘X (side "L") or rhs = X∘R (side "R"), with ``known``
-    as L or R, up to a map d∘ι through the injective hull ι of rhs.source:
-    the triangle version of factoring."""
-    if rhs.source.is_zero():
-        return True
-    src = ensure_module_margin(rhs.source)
-    if src.win is not rhs.source.win:
-        rhs = _reembed_morphism(rhs, src.win)
-        known = _reembed_morphism(known, src.win)
-    hull, iota = modules.injective_hull(rhs.source)
+    as L or R, up to a map d∘ι through the injective hull ι of rhs.source
+    (from :func:`_hull_embedding`): the triangle version of factoring."""
+    win = iota.source.win
+    if win is not rhs.source.win:
+        rhs = _reembed_morphism(rhs, win)
+        known = _reembed_morphism(known, win)
     return modules.solve_morphisms(
         rhs, [(side, known), ("R", iota)]) is not None
+
+
+def _module_name(x) -> str:
+    """How axiom details name a test module: its word, the vertex of its
+    projective, or else its dimension vector."""
+    meta = getattr(x, "meta", None) or {}
+    if "word" in meta:
+        return "string %s" % meta["word"]
+    if "projective" in meta:
+        return "projective at %s@%d" % meta["projective"]
+    return "module %s" % sorted(x.dims.items())
 
 
 def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
                     with_triangle=True) -> ArAxiomReport:
     """Almost split axioms against a finite universe of test modules, plus
-    the triangle axioms for the induced triangle."""
+    the triangle axioms for the induced triangle.  Each failure adds a
+    detail naming the test module that broke it."""
     f, g = seq.f, seq.g
     report = ArAxiomReport(True, True, universe_size=len(universe))
     if modules.is_split_mono(f):
@@ -371,7 +386,7 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
                 report.ars1 = False
                 report.details.append(
                     "map to %s does not factor through the middle"
-                    % sorted(x.dims.items()))
+                    % _module_name(x))
                 break
         for u in modules.hom_basis(x, g.target):
             if modules.is_split_epi(u):
@@ -380,7 +395,7 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
                 report.ars2 = False
                 report.details.append(
                     "map from %s does not lift through the middle"
-                    % sorted(x.dims.items()))
+                    % _module_name(x))
                 break
     if not with_triangle:
         return report
@@ -401,23 +416,32 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
         ends_ok = False
     report.art1 = ends_ok
     report.art2 = factor_through_projinj(tri.hpp) is None
-    art3 = True
-    art3s = True
+    # One hull per module: the triangle's hull embedding of the start, and
+    # each test module's hull the first time one of its maps needs it.
+    start_hull = tri.data["embedding"]
+    report.art3 = report.art3_star = True
     for x in universe:
+        x_hull = None
         for u in modules.hom_basis(x, g.target):
             if modules.is_split_epi(u):
                 continue
-            if not _stably_solvable(u, "L", g):
-                art3 = False
+            if x_hull is None:
+                x_hull = _hull_embedding(x)
+            if not _stably_solvable(u, "L", g, x_hull):
+                report.art3 = False
+                report.details.append(
+                    "map from %s does not lift stably through the middle"
+                    % _module_name(x))
                 break
         for v in modules.hom_basis(f.source, x):
             if modules.is_split_mono(v):
                 continue
-            if not _stably_solvable(v, "R", f):
-                art3s = False
+            if not _stably_solvable(v, "R", f, start_hull):
+                report.art3_star = False
+                report.details.append(
+                    "map to %s does not factor stably through the middle"
+                    % _module_name(x))
                 break
-    report.art3 = art3
-    report.art3_star = art3s
     return report
 
 
@@ -433,11 +457,12 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     fld = seq.f.source.field
     hints = None
     if seq.meta and "components" in seq.meta:
-        hints = []
-        for info, _ in seq.meta["components"]:
-            if info["word"] is not None:
-                hints.append(strings.string_module(win, info["word"], fld))
-        hints.extend(win.all_projectives(fld))
+        # One candidate per summand the sequence built: the string module
+        # of a surgery word, or the projective it names.
+        hints = [strings.string_module(win, info["word"], fld)
+                 if info["word"] is not None
+                 else win.projective(*info["projective_at"], fld)
+                 for info, _ in seq.meta["components"]]
     parts = modules.decompose(seq.f.target, candidates=hints)
     # Every part is a candidate: a window projective, or a string module,
     # projective exactly when its word is a uniserial projective word.

@@ -304,10 +304,14 @@ def enumerate_strings(win, max_len: int, interior_only=True,
 
 def decomposition_candidates(win, fieldobj, maxdim: int):
     """Every string module of the window up to dimension ``maxdim``, then
-    every window projective (whatever its dimension)."""
-    return ([string_module(win, w, fieldobj)
-             for w in enumerate_strings(win, max(maxdim - 1, 0),
-                                        interior_only=False)]
+    every window projective (whatever its dimension), as fresh modules.
+    The words are enumerated and their modules built once per window,
+    field and bound."""
+    return (win.cached_modules(
+        ("strings", maxdim), fieldobj,
+        lambda: [string_module(win, w, fieldobj)
+                 for w in enumerate_strings(win, max(maxdim - 1, 0),
+                                            interior_only=False)])
             + win.all_projectives(fieldobj))
 
 
