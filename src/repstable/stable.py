@@ -336,16 +336,12 @@ class ArAxiomReport:
     details: list = field(default_factory=list)
 
 
-def _hull_embedding(m):
-    """The injective hull embedding ι of ``m``, taken on a window with
-    room for it (``ι.source`` is ``m`` reembedded there if need be)."""
-    return modules.injective_hull(ensure_module_margin(m))[1]
-
-
 def _stably_solvable(rhs, side, known, iota) -> bool:
     """Whether rhs = L∘X (side "L") or rhs = X∘R (side "R"), with ``known``
-    as L or R, up to a map d∘ι through the injective hull ι of rhs.source
-    (from :func:`_hull_embedding`): the triangle version of factoring."""
+    as L or R, up to a map d∘ι through the injective hull ι of rhs.source:
+    the triangle version of factoring.  ``iota`` is that hull embedding,
+    taken after :func:`ensure_module_margin`, whose window the maps are
+    moved to."""
     win = iota.source.win
     if win is not rhs.source.win:
         rhs = _reembed_morphism(rhs, win)
@@ -357,7 +353,7 @@ def _stably_solvable(rhs, side, known, iota) -> bool:
 def _module_name(x) -> str:
     """How axiom details name a test module: its word, the vertex of its
     projective, or else its dimension vector."""
-    meta = getattr(x, "meta", None) or {}
+    meta = x.meta or {}
     if "word" in meta:
         return "string %s" % meta["word"]
     if "projective" in meta:
@@ -426,7 +422,7 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
             if modules.is_split_epi(u):
                 continue
             if x_hull is None:
-                x_hull = _hull_embedding(x)
+                x_hull = modules.injective_hull(ensure_module_margin(x))[1]
             if not _stably_solvable(u, "L", g, x_hull):
                 report.art3 = False
                 report.details.append(

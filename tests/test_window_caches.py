@@ -5,6 +5,7 @@ module of the axiom checks and the names their failures give."""
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -76,6 +77,25 @@ def test_hom_basis_checks_the_quiver_before_the_supports(a2_win, field):
     assert not set(m.dims) & set(other.dims)
     with pytest.raises(modules.ModuleError):
         modules.hom_basis(m, other)
+
+
+def test_axiom_checks_take_one_hull_per_module(a3, field, monkeypatch):
+    win = build_repetitive_window(a3, 0, 3)
+    seq, win2 = strings.ar_sequence(win, StringWord("2@1", ()), field)
+    universe = strings.decomposition_candidates(win2, field, 4)
+    hulled = []
+    hull = modules.injective_hull
+
+    def counted(m):
+        hulled.append(m.key())
+        return hull(m)
+
+    monkeypatch.setattr(modules, "injective_hull", counted)
+    report = stable.check_ar_axioms(seq, universe)
+    assert report.art3 and report.art3_star
+    # Once as a test module, and at most once more as the start (the
+    # triangle) or the end (art2).
+    assert max(Counter(hulled).values()) == 2
 
 
 def test_axiom_failures_name_the_test_module(field, a2):
