@@ -15,22 +15,18 @@ from .presentation import (
     validate_gentle,
 )
 from .repetitive import (
-    RepetitiveElement,
     RepetitiveWindow,
     build_repetitive_window,
     maximal_paths,
-    proj_injective_module,
     quotient_by_socle,
     radical_of_projective,
-    repetitive_product,
 )
 
 __all__ = [
     "QQ", "PrimeField", "get_field",
     "AlgebraPresentation", "ParseError", "PathWord", "Quiver", "RelationGen",
     "parse_presentation", "validate_gentle",
-    "RepetitiveElement", "RepetitiveWindow", "build_repetitive_window",
-    "maximal_paths", "proj_injective_module", "quotient_by_socle",
-    "radical_of_projective", "repetitive_product",
+    "RepetitiveWindow", "build_repetitive_window", "maximal_paths",
+    "quotient_by_socle", "radical_of_projective",
     "__version__",
 ]

@@ -63,12 +63,15 @@ ERRORS = (CliError, ParseError, PresentationError, WindowError,
 
 
 def _write_artifact(out_dir: str, name: str, text: str):
-    os.makedirs(out_dir, exist_ok=True)
     partial = os.path.join(out_dir, name + ".partial")
     final = os.path.join(out_dir, name)
-    with open(partial, "w") as fh:
-        fh.write(text)
-    os.replace(partial, final)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(partial, "w") as fh:
+            fh.write(text)
+        os.replace(partial, final)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (final, exc))
     return final
 
 
@@ -114,13 +117,6 @@ def _resolve_seed(win, text: str) -> strings.StringWord:
     return word
 
 
-def _window(cfg: RunConfig, pres):
-    try:
-        return build_repetitive_window(pres, cfg.window[0], cfg.window[1])
-    except WindowError as exc:
-        raise CliError(str(exc))
-
-
 def cmd_validate(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
     report = validate_gentle(pres)
@@ -133,7 +129,7 @@ def cmd_validate(cfg: RunConfig):
 
 def cmd_repetitive(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
-    win = _window(cfg, pres)
+    win = build_repetitive_window(pres, *cfg.window)
     dsl, sidecar = win.serialize()
     _write_artifact(cfg.out_dir, "window.quiver",
                     "\n".join(cfg.header_lines()) + "\n" + dsl)
@@ -145,7 +141,7 @@ def cmd_repetitive(cfg: RunConfig):
 
 def cmd_strings(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
-    win = _window(cfg, pres)
+    win = build_repetitive_window(pres, *cfg.window)
     words = strings.enumerate_strings(win, cfg.max_len)
     lines = cfg.header_lines() + ["# %d words up to length %d"
                                   % (len(words), cfg.max_len)]
@@ -157,15 +153,12 @@ def cmd_strings(cfg: RunConfig):
 
 def cmd_ar(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
-    win = _window(cfg, pres)
+    win = build_repetitive_window(pres, *cfg.window)
     if not cfg.seed:
         raise CliError("ar: --seed WORD is required")
     word = _resolve_seed(win, cfg.seed)
     fld = get_field(cfg.characteristic)
-    try:
-        seq, win2 = strings.ar_sequence(win, word, fld)
-    except strings.ArInjectiveError as exc:
-        raise CliError(str(exc))
+    seq, win2 = strings.ar_sequence(win, word, fld)
     universe = [strings.string_module(win2, w, fld)
                 for w in strings.enumerate_strings(
                     win2, max(cfg.universe_dim - 1, 0))]
@@ -204,7 +197,7 @@ def _knit(cfg: RunConfig, win, fld):
 
 def cmd_knit(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
-    win = _window(cfg, pres)
+    win = build_repetitive_window(pres, *cfg.window)
     fld = get_field(cfg.characteristic)
     comp = _knit(cfg, win, fld)
     header = "\n".join(cfg.header_lines()) + "\n"
@@ -237,7 +230,7 @@ FINDINGS_HEADER = ("# triangle\tstart\tend\tclass_h\tclass_hp\tclause\t"
 
 def cmd_triangles(cfg: RunConfig):
     pres = _load_presentation(cfg.input_path)
-    win = _window(cfg, pres)
+    win = build_repetitive_window(pres, *cfg.window)
     fld = get_field(cfg.characteristic)
     comp = _knit(cfg, win, fld)
     lines = cfg.header_lines() + [FINDINGS_HEADER]
@@ -265,10 +258,6 @@ def cmd_example4(cfg: RunConfig, check: bool):
     cfg.window = (-3, 5)
     cfg.max_len = 12
     cfg.seed = "v:1@0"
-    pres = _load_presentation(cfg.input_path)
-    report = validate_gentle(pres)
-    if not report.is_gentle:
-        raise CliError("bundled example failed the gentle check")
     rc1 = cmd_knit(cfg)
     rc2 = cmd_triangles(cfg)
     if rc1 or rc2:
@@ -289,8 +278,16 @@ def cmd_example4(cfg: RunConfig, check: bool):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`CliError` instead of a usage
+    block and exit status 2 of its own."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repstable",
         description="Repetitive windows of gentle algebras: strings, almost "
                     "split sequences and stable triangle classification.")
@@ -330,8 +327,8 @@ def cmd_dispatch(cfg: RunConfig, check: bool = False) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.window[0] + 2 > args.window[1]:
             raise CliError("window must span at least 3 degrees")
         try:

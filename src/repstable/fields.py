@@ -66,9 +66,6 @@ class RationalField:
     def of_int(self, n: int):
         return Fraction(n)
 
-    def parse(self, text: str):
-        return Fraction(text)
-
     def fmt(self, x) -> str:
         return "%d/%d" % (x.numerator, x.denominator)
 
@@ -104,10 +101,6 @@ class PrimeField:
 
     def of_int(self, n: int):
         return Mod(n, self.characteristic)
-
-    def parse(self, text: str):
-        frac = Fraction(text)
-        return self.of_int(frac.numerator) / self.of_int(frac.denominator)
 
     def fmt(self, x) -> str:
         return "%d/1" % x.v

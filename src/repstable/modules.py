@@ -275,10 +275,6 @@ class ModuleMorphism:
             blocks[v] = linalg.mat_sub(self.block(v), other.block(v))
         return ModuleMorphism(self.source, self.target, blocks)
 
-    def __neg__(self):
-        return ModuleMorphism(self.source, self.target,
-                              {v: linalg.mat_neg(b) for v, b in self.blocks.items()})
-
     def scaled(self, c):
         return ModuleMorphism(self.source, self.target,
                               {v: linalg.mat_scale(c, b)
@@ -585,13 +581,11 @@ class SocRad:
     top_proj: ModuleMorphism
 
 
-def socle_radical(m: GradedModule) -> SocRad:
-    """Socle (joint kernel of all arrow actions), radical (sum of all arrow
-    images, loops included) and top (quotient by the radical)."""
+def socle(m: GradedModule):
+    """(socle, inclusion): the joint kernel of all arrow actions.  Arrows
+    act by zero on it, so it needs no action solves."""
     fld = m.field
     q = m.table.quiver
-
-    # Arrows act by zero on the socle, so it needs no action solves.
     soc_basis = {}
     for v, d in m.dims.items():
         vecs = _joint_kernel(fld, [m.act(a.name) for a in q.arrows_out(v)], d)
@@ -600,7 +594,17 @@ def socle_radical(m: GradedModule) -> SocRad:
     soc = GradedModule(m.win, fld,
                        {v: len(b[0]) for v, b in soc_basis.items()}, {})
     soc_incl = ModuleMorphism(soc, m, soc_basis)
+    soc.validate()
+    soc_incl.validate()
+    return soc, soc_incl
 
+
+def socle_radical(m: GradedModule) -> SocRad:
+    """Socle (see :func:`socle`), radical (sum of all arrow images, loops
+    included) and top (quotient by the radical)."""
+    fld = m.field
+    q = m.table.quiver
+    soc, soc_incl = socle(m)
     rad_basis = {}
     for v in m.dims:
         ins = [m.act(a.name) for a in q.arrows_in(v) if m.dim(a.source)]
@@ -610,8 +614,6 @@ def socle_radical(m: GradedModule) -> SocRad:
     rad, rad_incl = submodule(m, rad_basis)
 
     kc = kernel_cokernel(rad_incl)
-    soc.validate()
-    soc_incl.validate()
     rad.validate()
     rad_incl.validate()
     return SocRad(soc, soc_incl, rad, rad_incl, kc.coker, kc.coker_proj)
@@ -658,42 +660,35 @@ def injective_hull(m: GradedModule):
     if m.is_zero():
         raise ModuleError("injective hull of the zero module")
     win, fld = m.win, m.field
-    sr = socle_radical(m)
-    if min(win.degree(v) for v in sr.soc.dims) - 1 < win.lo:
+    soc, soc_incl = socle(m)
+    if min(win.degree(v) for v in soc.dims) - 1 < win.lo:
         raise ModuleError("socle support touches the window floor; "
                           "enlarge the window before taking hulls")
     summands = []
     soc_targets = []  # per socle basis column: (vertex, summand index)
-    for v in sr.soc.sorted_support():
+    for v in soc.sorted_support():
         base_v, z = win.vertex_info(v)
-        for k in range(sr.soc.dim(v)):
+        for k in range(soc.dim(v)):
             summands.append(win.projective(base_v, z - 1, fld))
             soc_targets.append((v, len(summands) - 1))
     hull, incls, _projs = direct_sum(summands)
 
     # Prescribe where each socle column lands: on the socle basis path of
     # the matching summand.
-    prescribed = {}
-    for col, (v, si) in enumerate(soc_targets):
-        summand = summands[si]
-        ssr = socle_radical(summand)
-        sv = ssr.soc.sorted_support()[0]
-        if sv != v or ssr.soc.total_dim() != 1:
+    columns = {}
+    for v, si in soc_targets:
+        ssoc, ssoc_incl = socle(summands[si])
+        sv = ssoc.sorted_support()[0]
+        if sv != v or ssoc.total_dim() != 1:
             raise ModuleError("projective-injective summand has unexpected "
                               "socle at %s" % sv)
-        scol = [row[0] for row in ssr.soc_incl.blocks[sv]]
-        tvec = [row for row in incls[si].block(sv)]
-        tdim = hull.dim(sv)
-        if sv not in prescribed:
-            prescribed[sv] = linalg.zeros(fld, tdim, 0)
-        target_col = [sum((tvec[i][k] * scol[k] for k in range(len(scol))),
-                          start=fld.zero()) for i in range(tdim)]
-        for i in range(tdim):
-            prescribed[sv][i].append(target_col[i])
+        columns.setdefault(sv, []).append(
+            linalg.mat_mul(fld, incls[si].block(sv), ssoc_incl.blocks[sv]))
+    prescribed = {sv: linalg.hstack(cols) for sv, cols in columns.items()}
 
     # emb ∘ socle inclusion  =  prescribed embedding of the socle.
-    sol = solve_morphisms(ModuleMorphism(sr.soc, hull, prescribed),
-                          [("R", sr.soc_incl)])
+    sol = solve_morphisms(ModuleMorphism(soc, hull, prescribed),
+                          [("R", soc_incl)])
     if sol is None:
         raise ModuleError("no extension of the socle embedding; "
                           "hull construction failed")
@@ -702,36 +697,13 @@ def injective_hull(m: GradedModule):
     if emb.rank() != m.total_dim():
         raise ModuleError("hull embedding is not injective")
     # Essentiality: the hull's socle must lie inside the image.
-    hsr = socle_radical(hull)
-    for v in hsr.soc.dims:
+    hsoc, hsoc_incl = socle(hull)
+    for v in hsoc.dims:
         image = emb.block(v)
-        aug = linalg.hstack([image, hsr.soc_incl.block(v)])
+        aug = linalg.hstack([image, hsoc_incl.block(v)])
         if linalg.rank(fld, aug) != linalg.rank(fld, image):
             raise ModuleError("hull embedding is not essential at %s" % v)
     return hull, emb
-
-
-@dataclass
-class ComponentwiseView:
-    degrees: list
-    slices: dict       # z -> RepView of the base quiver
-    connectors: dict   # z -> {connector arrow name: matrix}
-
-
-def componentwise_view(m: GradedModule) -> ComponentwiseView:
-    degrees = m.support_degrees()
-    slices = {z: m.slice_view(z) for z in degrees}
-    connectors = {}
-    for z in degrees:
-        conns = {}
-        for an, arr in m.win.presentation.quiver.arrows.items():
-            kind = m.win.arrow_info(an)
-            if kind[0] != "conn" or kind[2] != z:
-                continue
-            if m.dim(arr.source) and m.dim(arr.target):
-                conns[an] = m.act(an)
-        connectors[z] = conns
-    return ComponentwiseView(degrees, slices, connectors)
 
 
 @dataclass
@@ -745,14 +717,12 @@ class ShortExactSeq:
 class SesReport:
     global_exact: bool
     degreewise: dict          # z -> exact?
-    degree_splits: dict       # z -> slice sequence splits?
     agree: bool
     details: list = field(default_factory=list)
 
 
 def check_ses(seq: ShortExactSeq) -> SesReport:
-    """Global exactness and the equivalent degreewise exactness, plus
-    whether each degree slice splits."""
+    """Global exactness and the equivalent degreewise exactness."""
     f, g = seq.f, seq.g
     fld = f.source.field
     details = []
@@ -783,9 +753,8 @@ def check_ses(seq: ShortExactSeq) -> SesReport:
                 and rk_f + rk_g == f.target.dim(v)
                 and linalg.is_zero(linalg.mat_mul(fld, gb, fb))):
             degreewise[f.source.win.degree(v)] = False
-    degree_splits = {z: is_split_mono(f.slice(z)) for z in degrees}
     agree = global_exact == all(degreewise.values())
-    return SesReport(global_exact, degreewise, degree_splits, agree, details)
+    return SesReport(global_exact, degreewise, agree, details)
 
 
 # -- isomorphism certificates and decomposition -----------------------------
@@ -797,8 +766,6 @@ def find_isomorphism(a: RepView, b: RepView):
     Fitting's lemma, whose non-invertible elements form a proper subspace
     that contains no basis.  Between decomposable modules None proves
     nothing."""
-    if a.total_dim() != b.total_dim():
-        return None
     if sorted(a.dims.items()) != sorted(b.dims.items()):
         return None
     basis = hom_basis(a, b)
@@ -867,8 +834,6 @@ def summand_witness(s: GradedModule, m: GradedModule):
     a direct summand of ``m``; otherwise None.  Checks the pairwise
     composites of the two Hom bases for an invertible one, which suffices
     when End(s) is local."""
-    if s.total_dim() > m.total_dim():
-        return None
     for v, d in s.dims.items():
         if m.dim(v) < d:
             return None
@@ -966,28 +931,6 @@ def module_to_text(m: GradedModule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def module_from_text(win, fld, text: str) -> GradedModule:
-    dims = {}
-    acts = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line in ("module", "end"):
-            continue
-        parts = line.split()
-        if parts[0] == "dim":
-            dims[parts[1]] = int(parts[2])
-        elif parts[0] == "act":
-            name, r, c = parts[1], int(parts[2]), int(parts[3])
-            rest = " ".join(parts[4:])
-            rows = [s.split() for s in rest.split(" ; ")] if r else []
-            acts[name] = [[fld.parse(x) for x in row] for row in rows]
-        else:
-            raise ModuleError("bad module line %r" % line)
-    mod = GradedModule(win, fld, dims, acts)
-    mod.validate()
-    return mod
-
-
 def morphism_to_text(h: ModuleMorphism) -> str:
     fld = h.source.field
     lines = ["morphism"]
@@ -999,22 +942,3 @@ def morphism_to_text(h: ModuleMorphism) -> str:
                         " ; ".join(rows)))
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def morphism_from_text(source, target, text: str) -> ModuleMorphism:
-    fld = source.field
-    blocks = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line in ("morphism", "end"):
-            continue
-        parts = line.split()
-        if parts[0] != "block":
-            raise ModuleError("bad morphism line %r" % line)
-        v, r, c = parts[1], int(parts[2]), int(parts[3])
-        rest = " ".join(parts[4:])
-        rows = [s.split() for s in rest.split(" ; ")] if r else []
-        blocks[v] = [[fld.parse(x) for x in row] for row in rows]
-    h = ModuleMorphism(source, target, blocks)
-    h.validate()
-    return h

@@ -13,8 +13,6 @@ agree on their overlap by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .presentation import (
     AlgebraPresentation,
     Arrow,
@@ -42,30 +40,24 @@ def maximal_paths(pres: AlgebraPresentation) -> list:
             result.append(PathWord(v, ()))
 
     def extend(path: PathWord) -> PathWord:
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(q.arrows_out(path.target(q)), key=lambda a: a.name):
-                ext = PathWord(path.source, path.arrows + (c.name,))
-                if pres.is_nonzero(ext):
-                    path = ext
-                    changed = True
-                    break
-            if len(path) >= pres.nilpotency:
-                raise PresentationError(
-                    "maximal path search exceeded the nilpotency bound")
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(q.arrows_in(path.source), key=lambda a: a.name):
-                ext = PathWord(c.source, (c.name,) + path.arrows)
-                if pres.is_nonzero(ext):
-                    path = ext
-                    changed = True
-                    break
-            if len(path) >= pres.nilpotency:
-                raise PresentationError(
-                    "maximal path search exceeded the nilpotency bound")
+        # Grow on the right while some arrow keeps the path nonzero (the
+        # first by name), then on the left.
+        for right in (True, False):
+            grown = True
+            while grown:
+                grown = False
+                ends = (q.arrows_out(path.target(q)) if right
+                        else q.arrows_in(path.source))
+                for c in sorted(ends, key=lambda a: a.name):
+                    ext = (PathWord(path.source, path.arrows + (c.name,))
+                           if right else
+                           PathWord(c.source, (c.name,) + path.arrows))
+                    if pres.is_nonzero(ext):
+                        path, grown = ext, True
+                        break
+                if len(path) >= pres.nilpotency:
+                    raise PresentationError(
+                        "maximal path search exceeded the nilpotency bound")
         return path
 
     covered = set()
@@ -145,10 +137,6 @@ class RepetitiveWindow:
     def is_interior(self, vn: str) -> bool:
         return self.lo < self.degree(vn) < self.hi
 
-    def arrow_info(self, an: str):
-        """("copy", base arrow, z) or ("conn", maximal path, z)."""
-        return self._ainfo[an]
-
     # -- construction ----------------------------------------------------
 
     def _lift(self, p: PathWord, z: int) -> PathWord:
@@ -160,13 +148,11 @@ class RepetitiveWindow:
         vertices = [self.vname(v, z) for z in range(self.lo, self.hi + 1)
                     for v in sorted(base_q.vertices)]
         arrows = {}
-        self._ainfo = {}
         for z in range(self.lo, self.hi + 1):
             for a in base_q.sorted_arrows():
                 an = self.aname(a.name, z)
                 arrows[an] = Arrow(an, self.vname(a.source, z),
                                    self.vname(a.target, z))
-                self._ainfo[an] = ("copy", a.name, z)
         for z in range(self.lo, self.hi):
             for p in self.maximal:
                 cn = self.conn_name(p, z)
@@ -176,7 +162,6 @@ class RepetitiveWindow:
                         "rename the base arrows" % cn)
                 arrows[cn] = Arrow(cn, self.vname(p.target(base_q), z),
                                    self.vname(p.source, z + 1))
-                self._ainfo[cn] = ("conn", p, z)
 
         quiver = Quiver(tuple(vertices), arrows)
         self.table = modules.QuiverTable(quiver, vertices)
@@ -309,7 +294,8 @@ class RepetitiveWindow:
     def projective(self, v: str, z: int, field) -> "modules.GradedModule":
         """The indecomposable projective(-injective) at window vertex
         ``(v, z)``; its basis is the set of nonzero paths out of that
-        vertex, so every window relation holds by construction."""
+        vertex, so every window relation holds by construction.  It is at
+        the same time the injective hull of the simple at ``(v, z + 1)``."""
         return self.cached_modules(
             ("projective", v, z), field,
             lambda: [self._build_projective(v, z, field)])[0]
@@ -385,15 +371,6 @@ def parse_window(base: AlgebraPresentation, sidecar_text: str) -> RepetitiveWind
     return build_repetitive_window(base, min(degrees), max(degrees))
 
 
-def proj_injective_module(win: RepetitiveWindow, v: str, z: int,
-                          field) -> "modules.GradedModule":
-    """Projective cover of the simple at window vertex ``(v, z)``; it is at
-    the same time the injective hull of the simple at ``(v, z + 1)``, with
-    lower part the projective over the injective indexed by ``v`` and upper
-    part that injective itself."""
-    return win.projective(v, z, field)
-
-
 def _check_projective(phat):
     if phat.meta is None or "projective" not in phat.meta:
         raise WindowError("input is not an indecomposable window projective")
@@ -426,11 +403,11 @@ def quotient_by_socle(phat: "modules.GradedModule"):
     """The quotient of a window projective by its simple socle, with the
     natural projection."""
     _check_projective(phat)
-    sr = modules.socle_radical(phat)
-    if sr.soc.total_dim() != 1:
+    soc, soc_incl = modules.socle(phat)
+    if soc.total_dim() != 1:
         raise WindowError("projective socle is not simple")
-    socle_vertex = [v for v in sr.soc.dims if sr.soc.dims[v]][0]
-    column = [row[0] for row in sr.soc_incl.blocks[socle_vertex]]
+    socle_vertex = [v for v in soc.dims if soc.dims[v]][0]
+    column = [row[0] for row in soc_incl.blocks[socle_vertex]]
     hot = [i for i, x in enumerate(column) if x]
     if len(hot) != 1:
         raise WindowError("socle is not spanned by a single basis path")
@@ -439,105 +416,3 @@ def quotient_by_socle(phat: "modules.GradedModule"):
     quot.validate()
     proj.validate()
     return quot, proj
-
-
-# -- element-level arithmetic of the repetitive algebra ---------------------
-
-@dataclass(frozen=True)
-class RepetitiveElement:
-    """Finitely supported family of (algebra part, dual part) pairs.  The
-    algebra part of degree ``z`` is a combination of basis paths; the dual
-    part pairs degree ``z`` with degree ``z + 1`` and is a combination of
-    dual-basis functionals, keyed by the basis path they dualize."""
-
-    base: AlgebraPresentation
-    parts: tuple  # tuple of (z, ("alg"|"dual"), path key, coefficient)
-
-    @staticmethod
-    def make(base, entries):
-        """entries: iterable of (z, kind, PathWord, coeff)."""
-        acc = {}
-        for z, kind, p, c in entries:
-            key = (z, kind, (p.source, p.arrows))
-            acc[key] = acc.get(key, 0) + c
-        parts = tuple(sorted((z, kind, pk, c) for (z, kind, pk), c in acc.items()
-                             if c != 0))
-        return RepetitiveElement(base, parts)
-
-    def __add__(self, other):
-        return RepetitiveElement.make(
-            self.base,
-            [(z, k, PathWord(pk[0], pk[1]), c) for z, k, pk, c in self.parts]
-            + [(z, k, PathWord(pk[0], pk[1]), c) for z, k, pk, c in other.parts])
-
-    def is_zero(self):
-        return not self.parts
-
-
-def identity_at(base: AlgebraPresentation, z: int) -> RepetitiveElement:
-    return RepetitiveElement.make(
-        base, [(z, "alg", PathWord(v, ()), 1) for v in base.quiver.vertices])
-
-
-def _mul_paths(base, p: PathWord, q: PathWord):
-    """Function-order product of basis paths: q happens first, then p."""
-    if q.target(base.quiver) != p.source:
-        return None
-    nf = base.path_normal_form(PathWord(q.source, q.arrows + p.arrows))
-    if nf.is_zero:
-        return None
-    return nf.path, nf.coeff
-
-
-def _strip_prefix(base, dual_key: PathWord, q: PathWord):
-    """Left action of a path on a dual functional: remove a leading copy
-    of ``q`` from the dualized path."""
-    if len(q) > len(dual_key):
-        return None
-    if dual_key.arrows[:len(q)] != q.arrows or dual_key.source != q.source:
-        return None
-    rest = dual_key.arrows[len(q):]
-    src = q.target(base.quiver)
-    return PathWord(src, rest)
-
-
-def _strip_suffix(base, dual_key: PathWord, q: PathWord):
-    """Right action of a path on a dual functional: remove a trailing copy
-    of ``q`` from the dualized path."""
-    if len(q) > len(dual_key):
-        return None
-    if len(q) and dual_key.arrows[len(dual_key) - len(q):] != q.arrows:
-        return None
-    if len(q) == 0 and dual_key.target(base.quiver) != q.source:
-        return None
-    rest = dual_key.arrows[:len(dual_key) - len(q)]
-    return PathWord(dual_key.source, rest)
-
-
-def repetitive_product(x: RepetitiveElement, y: RepetitiveElement) -> RepetitiveElement:
-    """Degreewise product: algebra parts multiply within a degree; the dual
-    part of degree ``z`` is acted on by the algebra part of degree ``z + 1``
-    on the left and of degree ``z`` on the right.  Two dual parts multiply
-    to zero."""
-    base = x.base
-    if base is not y.base and base.pretty() != y.base.pretty():
-        raise PresentationError("elements over different base algebras")
-    out = []
-    for z1, k1, pk1, c1 in x.parts:
-        p1 = PathWord(pk1[0], pk1[1])
-        for z2, k2, pk2, c2 in y.parts:
-            p2 = PathWord(pk2[0], pk2[1])
-            if k1 == "alg" and k2 == "alg" and z1 == z2:
-                r = _mul_paths(base, p1, p2)
-                if r is not None:
-                    out.append((z1, "alg", r[0], c1 * c2 * r[1]))
-            elif k1 == "alg" and k2 == "dual" and z1 == z2 + 1:
-                r = _strip_prefix(base, p2, p1)
-                if r is not None:
-                    out.append((z2, "dual", r, c1 * c2))
-            elif k1 == "dual" and k2 == "alg" and z2 == z1:
-                r = _strip_suffix(base, p1, p2)
-                if r is not None:
-                    out.append((z1, "dual", r, c1 * c2))
-            # dual * dual vanishes: both product components are zero.
-    return RepetitiveElement.make(base, [(z, k, p, c) for z, k, p, c in out])

@@ -57,9 +57,8 @@ def factor_through_projinj(h: "modules.ModuleMorphism"):
     """A witness (hull, embedding, descent) with h = descent ∘ embedding,
     or None when no such factorization exists."""
     if h.source.is_zero():
-        return None if not h.target.is_zero() and not h.is_zero() else (
-            h.source, modules.identity_morphism(h.source),
-            modules.ModuleMorphism(h.source, h.target, {}))
+        return (h.source, modules.identity_morphism(h.source),
+                modules.ModuleMorphism(h.source, h.target, {}))
     h = ensure_morphism_margin(h)
     hull, iota = modules.injective_hull(h.source)
     sol = modules.solve_morphisms(h, [("R", iota)])
@@ -75,22 +74,6 @@ def stable_equal(h1, h2) -> bool:
             or sorted(h1.target.dims.items()) != sorted(h2.target.dims.items())):
         raise modules.ModuleError("stable_equal: shape mismatch")
     return factor_through_projinj(h1 - h2) is not None
-
-
-@dataclass
-class StableMorphism:
-    """A stable-category morphism: a representative plus, when equality
-    testing or zero testing produced one, a cached projective-injective
-    factorization witness."""
-
-    rep: "modules.ModuleMorphism"
-    witness: Optional[tuple] = None
-
-    def is_stably_zero(self) -> bool:
-        w = factor_through_projinj(self.rep)
-        if w is not None:
-            self.witness = w
-        return w is not None
 
 
 # -- syzygies ---------------------------------------------------------------
@@ -215,7 +198,6 @@ class IrredClass:
     degree: Optional[int] = None   # the unique non-split degree
     profile: dict = field(default_factory=dict)
     reason: Optional[str] = None
-    universe_dim: Optional[int] = None
 
     def __str__(self):
         if self.kind == "sirreducible":
@@ -254,8 +236,7 @@ def rad_square_membership(h, universe):
     return linalg.solve(fld, cols, target) is not None
 
 
-def classify_irreducible(h, universe=None, universe_dim=None,
-                         certify=False) -> IrredClass:
+def classify_irreducible(h, universe_dim=None, certify=False) -> IrredClass:
     """Three-way classification of a candidate irreducible morphism by the
     splitness profile of its degree components: all split mono, all split
     epi, or split except at a unique degree.  A mixed profile on a
@@ -264,62 +245,31 @@ def classify_irreducible(h, universe=None, universe_dim=None,
     With ``certify`` the morphism is first checked not to be split and not
     to lie in the radical square relative to the string-module universe up
     to ``universe_dim`` (default twice the larger endpoint dimension).
-    The flagged component of a split-except-at-one-degree verdict can be
-    certified irreducible over the base algebra separately, via
-    :func:`slice_component_irreducible`.
     """
     rep = modules.splitness(h)
-    win = h.source.win
-    fld = h.source.field
+    prof = rep.per_degree
     if certify:
         if rep.is_split_mono or rep.is_split_epi:
-            return IrredClass("not_irreducible", profile=rep.per_degree,
-                              reason="split", universe_dim=universe_dim)
-        if universe is None:
-            bound = universe_dim or 2 * max(h.source.total_dim(),
-                                            h.target.total_dim())
-            universe = strings.decomposition_candidates(win, fld, bound)
-            universe_dim = bound
+            return IrredClass("not_irreducible", profile=prof,
+                              reason="split")
+        bound = universe_dim or 2 * max(h.source.total_dim(),
+                                        h.target.total_dim())
+        universe = strings.decomposition_candidates(h.source.win,
+                                                    h.source.field, bound)
         if rad_square_membership(h, universe):
-            return IrredClass("not_irreducible", profile=rep.per_degree,
-                              reason="factors through the radical square",
-                              universe_dim=universe_dim)
-    prof = rep.per_degree
-    monos = all(mono for mono, _ in prof.values())
-    epis = all(epi for _, epi in prof.values())
-    if monos:
-        return IrredClass("smonic", profile=prof, universe_dim=universe_dim)
-    if epis:
-        return IrredClass("sepic", profile=prof, universe_dim=universe_dim)
+            return IrredClass("not_irreducible", profile=prof,
+                              reason="factors through the radical square")
+    if all(mono for mono, _ in prof.values()):
+        return IrredClass("smonic", profile=prof)
+    if all(epi for _, epi in prof.values()):
+        return IrredClass("sepic", profile=prof)
     neither = [z for z, (mono, epi) in sorted(prof.items())
                if not mono and not epi]
     if len(neither) != 1:
         raise TrichotomyError(
             "mixed degree profile %s on a candidate irreducible" %
             {z: p for z, p in sorted(prof.items())})
-    return IrredClass("sirreducible", degree=neither[0], profile=prof,
-                      universe_dim=universe_dim)
-
-
-def classify_stable(sh: StableMorphism, universe=None,
-                    universe_dim=None) -> IrredClass:
-    """Classification of a stable irreducible morphism via any
-    representative; well-defined because stably equal irreducibles
-    between projective-free modules are equal on the nose.  When a
-    factorization witness is cached, the verdict is re-checked on the
-    perturbed representative."""
-    verdict = classify_irreducible(sh.rep, universe=universe,
-                                   universe_dim=universe_dim)
-    rep = ensure_morphism_margin(sh.rep)
-    hull, iota = modules.injective_hull(rep.source)
-    descents = modules.hom_basis(hull, rep.target)
-    if descents:
-        other = rep + modules.compose(descents[0], iota)
-        second = classify_irreducible(other)
-        if (second.kind, second.degree) != (verdict.kind, verdict.degree):
-            raise TrichotomyError("stable class verdict depends on the "
-                                  "representative")
-    return verdict
+    return IrredClass("sirreducible", degree=neither[0], profile=prof)
 
 
 # -- almost split axioms -------------------------------------------------------
@@ -447,33 +397,19 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     """(triangle on the projective-free part, split-off projective or
     None), with the structural claims certified: at most one projective
     summand, isomorphic to the cover of the socle of the start, with the
-    start the radical and the end the socle quotient of that projective."""
+    start the radical and the end the socle quotient of that projective.
+    The middle term's summands are the ones the sequence was built from
+    (:func:`strings.ar_sequence`)."""
     from . import repetitive as _rep
     win = seq.f.source.win
     fld = seq.f.source.field
-    hints = None
-    if seq.meta and "components" in seq.meta:
-        # One candidate per summand the sequence built: the string module
-        # of a surgery word, or the projective it names.
-        hints = [strings.string_module(win, info["word"], fld)
-                 if info["word"] is not None
-                 else win.projective(*info["projective_at"], fld)
-                 for info, _ in seq.meta["components"]]
-    parts = modules.decompose(seq.f.target, candidates=hints)
-    # Every part is a candidate: a window projective, or a string module,
-    # projective exactly when its word is a uniserial projective word.
-    uni, _ = strings.projective_words(win)
-    quiver = win.presentation.quiver
     proj_parts = []
     free_parts = []
-    for s, incl, proj in parts:
-        pv = s.meta.get("projective")
-        if pv is None:
-            pv = uni.get(strings.canonical(s.meta["word"], quiver))
-        if pv is not None:
-            proj_parts.append((s, incl, proj, pv))
+    for (info, _), part in zip(seq.meta["components"], seq.meta["parts"]):
+        if info["projective_at"] is not None:
+            proj_parts.append(info["projective_at"])
         else:
-            free_parts.append((s, incl, proj))
+            free_parts.append(part)
     if len(proj_parts) > 1:
         raise TheoremViolationError(
             "middle term has %d projective summands" % len(proj_parts))
@@ -481,7 +417,7 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     tri_full = triangle_from_ses(seq)
     phat_info = None
     if proj_parts:
-        s, _, _, (v, z) = proj_parts[0]
+        v, z = proj_parts[0]
         phat = win.projective(v, z, fld)
         radm, _ = _rep.radical_of_projective(phat)
         quot, _ = _rep.quotient_by_socle(phat)
@@ -535,15 +471,13 @@ class Finding:
     violations: list = field(default_factory=list)
 
 
-def verify_shape_table(tri: Triangle, phat_info=None, universe=None,
-                       universe_dim=None, start="", end="") -> Finding:
+def verify_shape_table(tri: Triangle, phat_info=None, universe_dim=None,
+                       start="", end="") -> Finding:
     """Classify both irreducible maps of an almost split triangle and check
     the admissible shape pairs, the projective dichotomy and the simple
     injective condition in the split-epi case."""
-    ch = classify_irreducible(tri.h, universe=universe,
-                              universe_dim=universe_dim)
-    chp = classify_irreducible(tri.hp, universe=universe,
-                               universe_dim=universe_dim)
+    ch = classify_irreducible(tri.h, universe_dim=universe_dim)
+    chp = classify_irreducible(tri.hp, universe_dim=universe_dim)
     win = tri.h.source.win
     violations = []
     clause = _ALLOWED.get((ch.kind, chp.kind))
@@ -576,18 +510,3 @@ def verify_shape_table(tri: Triangle, phat_info=None, universe=None,
                    phat_info is not None, lower_simple, upper_simple,
                    start, end, (win.lo, win.hi), universe_dim,
                    violations)
-
-
-# -- degree-slice irreducibility ------------------------------------------------
-
-def slice_component_irreducible(h, z, universe_len: int = 6) -> bool:
-    """Certify that the degree-z component of a morphism, viewed over the
-    base algebra, is irreducible: neither split nor in the span of
-    composites of non-isomorphisms through base string modules."""
-    hz = h.slice(z)
-    if modules.is_split_mono(hz) or modules.is_split_epi(hz):
-        return False
-    ctx = strings.base_context(h.source.win)
-    universe = [strings.string_module(ctx, w, hz.source.field)
-                for w in strings.enumerate_strings(ctx, universe_len)]
-    return not rad_square_membership(hz, universe)

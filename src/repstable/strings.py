@@ -32,9 +32,7 @@ class ArInjectiveError(Exception):
 
 
 class EnlargementError(Exception):
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    pass
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,8 @@ class StringContext:
         startb = arrb.source if sb > 0 else arrb.target
         if enda != startb:
             return False
-        if sa > 0 and sb < 0:
-            return a != b          # peak
-        if sa < 0 and sb > 0:
-            return a != b          # valley
+        if sa != sb:
+            return a != b          # peak or valley
         return True                # run composability checked via run_ok
 
     def is_valid(self, w: StringWord) -> bool:
@@ -461,6 +457,8 @@ def ar_sequence(win, w: StringWord, fieldobj):
     projective when the input is the radical of a biserial projective,
     whose cover cannot be reached by word surgery); the end term is the
     exact cokernel, certified isomorphic to the surgery-predicted word.
+    ``meta["parts"]`` keeps, in the order of ``meta["components"]``, each
+    middle summand with its inclusion into and projection from the middle.
     """
     ctx = window_context(win)
     if not ctx.is_valid(w):
@@ -476,7 +474,6 @@ def ar_sequence(win, w: StringWord, fieldobj):
             % w)
 
     m = string_module(win, w, fieldobj)
-    n = len(w)
 
     biserial_at = bis.get(canon)
 
@@ -512,7 +509,7 @@ def ar_sequence(win, w: StringWord, fieldobj):
         raise StringError("no surgery applies to %s" % w)
 
     mods = [sm for sm, _, _ in summands]
-    middle, incls, _projs = modules.direct_sum(mods)
+    middle, incls, projs = modules.direct_sum(mods)
     f = sum((modules.compose(incl, comp)
              for (_, comp, _), incl in zip(summands, incls)),
             modules.ModuleMorphism(m, middle, {}))
@@ -536,10 +533,10 @@ def ar_sequence(win, w: StringWord, fieldobj):
     meta = {
         "start_word": canonical_word(w, ctx.quiver),
         "components": [(info, comp) for _, comp, info in summands],
+        "parts": list(zip(mods, incls, projs)),
         "middle_words": [info["word"] for _, _, info in summands
                          if info["word"] is not None],
         "projective": proj_at[0] if proj_at else None,
-        "projective_count": len(proj_at),
         "end_word": end_word,
         "window": (win.lo, win.hi),
     }

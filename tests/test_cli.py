@@ -170,3 +170,33 @@ def test_triangle_findings_equal_in_every_characteristic(tmp_path, capsys):
     assert len(rows) == 8
     for char in (2, 3, 101):
         assert findings(char) == rows
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["validate", write_a2(tmp_path),
+               "--out", str(blocker / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("args", [
+    ["bogus"],
+    [],
+    ["validate", "in.quiver", "--char", "x"],
+    ["validate", "in.quiver", "--window", "0"],
+    ["validate", "in.quiver", "--no-such-option"],
+], ids=["command", "missing-command", "char", "window", "option"])
+def test_usage_errors_exit_two(args, capsys):
+    assert main(args) == 2
+    _single_error_line(capsys)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: repstable" in capsys.readouterr().out

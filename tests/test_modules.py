@@ -8,7 +8,6 @@ from repstable.fields import PrimeField, QQ
 from repstable.presentation import parse_presentation
 from repstable.repetitive import (
     build_repetitive_window,
-    proj_injective_module,
     radical_of_projective,
 )
 from repstable import linalg, modules, strings
@@ -36,27 +35,27 @@ def test_hom_p_to_rad_matches_prime_field(a2, field):
     from repstable.repetitive import build_repetitive_window
     for fld in (QQ, PrimeField(101)):
         win = build_repetitive_window(a2, 0, 3)
-        P = proj_injective_module(win, "1", 0, fld)
+        P = win.projective("1", 0, fld)
         rad, _ = radical_of_projective(P)
         assert len(modules.hom_basis(P, rad)) == 0
 
 
 def test_splitness_identity(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rep = modules.splitness(modules.identity_morphism(P))
     assert rep.is_split_mono and rep.is_split_epi
     assert all(m and e for m, e in rep.per_degree.values())
 
 
 def test_splitness_socle_inclusion(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
     rep = modules.splitness(sr.soc_incl)
     assert not rep.is_split_mono and not rep.is_split_epi
 
 
 def test_splitness_summand_inclusion(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, incls, projs = modules.direct_sum([P, s])
     assert modules.splitness(incls[0]).is_split_mono
@@ -64,7 +63,7 @@ def test_splitness_summand_inclusion(a2_win, field):
 
 
 def test_kernel_cokernel_trivial_cases(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     zero = modules.ModuleMorphism(P, P, {})
     kc = modules.kernel_cokernel(zero)
     assert kc.ker.total_dim() == P.total_dim()
@@ -74,7 +73,7 @@ def test_kernel_cokernel_trivial_cases(a2_win, field):
 
 
 def test_kernel_cokernel_radical_inclusion(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, incl = radical_of_projective(P)
     kc = modules.kernel_cokernel(incl)
     assert kc.ker.total_dim() == 0
@@ -88,9 +87,25 @@ def test_socle_radical_simple(a2_win, field):
     assert sr.top.total_dim() == 1
 
 
+def test_socle_is_the_socle_of_socle_radical(a3_win, ex4_win, field):
+    # socle() is the socle half of socle_radical(), basis and all.
+    for win in (a3_win, ex4_win):
+        mods = [win.projective(v, 0, field)
+                for v in sorted(win.base.quiver.vertices)]
+        mods += [strings.string_module(win, w, field)
+                 for w in strings.enumerate_strings(win, 2)[:20]]
+        mods.append(modules.direct_sum(mods[:2])[0])
+        for m in mods:
+            soc, soc_incl = modules.socle(m)
+            sr = modules.socle_radical(m)
+            assert soc.key() == sr.soc.key()
+            assert (modules.morphism_to_text(soc_incl)
+                    == modules.morphism_to_text(sr.soc_incl))
+
+
 def test_socle_distributes_over_sums(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
-    Q = proj_injective_module(a2_win, "2", 1, field)
+    P = a2_win.projective("1", 0, field)
+    Q = a2_win.projective("2", 1, field)
     total, _, _ = modules.direct_sum([P, Q])
     a = modules.socle_radical(total).soc.total_dim()
     b = (modules.socle_radical(P).soc.total_dim()
@@ -99,20 +114,20 @@ def test_socle_distributes_over_sums(a2_win, field):
 
 
 def test_hull_of_socle_is_projective(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
     hull, emb = modules.injective_hull(sr.soc)
     assert modules.find_isomorphism(hull, P) is not None
 
 
 def test_hull_of_projective_is_isomorphism(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     hull, emb = modules.injective_hull(P)
     assert emb.rank() == P.total_dim() == hull.total_dim()
 
 
 def test_hull_of_radical_indecomposable(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, _ = radical_of_projective(P)
     hull, emb = modules.injective_hull(rad)
     assert hull.total_dim() == 3
@@ -122,7 +137,7 @@ def test_hull_of_radical_indecomposable(a2_win, field):
 def test_hull_uniqueness_certified(a2_win, field):
     # Two isomorphic inputs produce isomorphic hulls, certified by an
     # explicit isomorphism.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, _ = radical_of_projective(P)
     w = strings.StringWord(a2_win.vname("2", 0), (("hat_a@0", 1),))
     other = strings.string_module(a2_win, w, field)
@@ -132,29 +147,19 @@ def test_hull_uniqueness_certified(a2_win, field):
     assert modules.find_isomorphism(h1, h2) is not None
 
 
-def test_componentwise_view(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
-    view = modules.componentwise_view(P)
-    assert view.degrees == [0, 1]
-    assert any(view.connectors[0].values())
-    s = simple(a2_win, field, "1", 1)
-    view = modules.componentwise_view(s)
-    assert view.degrees == [1]
-    assert not view.connectors[1]
-
-
 def test_check_ses_split(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, incls, projs = modules.direct_sum([P, s])
     seq = modules.ShortExactSeq(incls[0], projs[1])
     rep = modules.check_ses(seq)
     assert rep.global_exact and rep.agree
-    assert all(rep.degree_splits.values())
+    assert all(mono for mono, _ in
+               modules.splitness(incls[0]).per_degree.values())
 
 
 def test_check_ses_socle_sequence(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
     kc = modules.kernel_cokernel(sr.soc_incl)
     seq = modules.ShortExactSeq(sr.soc_incl, kc.coker_proj)
@@ -165,7 +170,7 @@ def test_check_ses_socle_sequence(a2_win, field):
 
 def test_degreewise_iff_global(a2_win, field):
     # On valid sequences both notions agree; also on a non-exact pair.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, incl = radical_of_projective(P)
     kc = modules.kernel_cokernel(incl)
     rep = modules.check_ses(modules.ShortExactSeq(incl, kc.coker_proj))
@@ -186,7 +191,7 @@ def test_decompose_string_is_itself(a2_win, field):
 
 
 def test_decompose_explicit_sum(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, _, _ = modules.direct_sum([P, s])
     parts = modules.decompose(total)
@@ -203,7 +208,7 @@ def test_decompose_explicit_sum(a2_win, field):
 def test_decompose_without_a_candidate_summand_raises(a2_win, field):
     # Nothing is sampled: once no candidate splits off, the error comes at
     # once and carries the summands already peeled.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, _, _ = modules.direct_sum([P, s])
     with pytest.raises(modules.DecomposeError) as info:
@@ -256,32 +261,17 @@ def test_no_module_imports_random():
                 assert top in sys.stdlib_module_names, (name, top)
 
 
-def test_module_serialization_roundtrip(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
-    text = modules.module_to_text(P)
-    again = modules.module_from_text(a2_win, field, text)
-    assert modules.module_to_text(again) == text
-
-
-def test_morphism_serialization_roundtrip(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
-    rad, incl = radical_of_projective(P)
-    text = modules.morphism_to_text(incl)
-    again = modules.morphism_from_text(rad, P, text)
-    assert modules.morphism_to_text(again) == text
-
-
 def test_commutation_exactness_of_all_morphisms(a2_win, field):
     # Every produced morphism satisfies all commutation constraints with a
     # zero residual; validate() is the exact check.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, incl = radical_of_projective(P)
     for h in modules.hom_basis(rad, P):
         h.validate()
 
 
 def test_split_mono_implies_zero_kernel(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, incls, projs = modules.direct_sum([P, s])
     assert modules.is_split_mono(incls[0])
@@ -330,7 +320,7 @@ def test_validate_module_avoiding_every_relation_source(a3_win, field):
 
 
 def test_morphism_validate_rejects_a_perturbed_block(a3_win, field):
-    P = proj_injective_module(a3_win, "1", 0, field)
+    P = a3_win.projective("1", 0, field)
     ident = modules.identity_morphism(P)
     ident.validate()
     support_arrows = [a for a in a3_win.table.arrows
@@ -350,7 +340,7 @@ def test_solve_morphisms_inconsistent_affine_row(a2_win, field):
     # L∘X = id_S with L zero has no solution: its constraint rows have no
     # variables but a nonzero right-hand side.
     s = simple(a2_win, field, "1", 1)
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     for n in (s, P):
         zero = modules.ModuleMorphism(n, s, {})
         assert modules.solve_morphisms(modules.identity_morphism(s),

@@ -9,7 +9,9 @@ Regenerate it (only when a change of the words is intended) with
 
 The summand tests name the projective summand of each middle term by an
 explicit isomorphism search over every window projective and compare the
-result with :func:`stable.ar_triangle_from_sequence`.
+result with :func:`stable.ar_triangle_from_sequence`, which reads the
+summands off the inclusions and projections the sequence carries
+(``meta["parts"]``); the carried-decomposition tests check those maps.
 """
 
 import os
@@ -17,7 +19,7 @@ import os
 import pytest
 
 from repstable import modules, stable, strings
-from repstable.fields import QQ
+from repstable.fields import PrimeField, QQ
 from repstable.presentation import PathWord, parse_presentation
 from repstable.repetitive import build_repetitive_window
 from repstable.strings import StringWord
@@ -200,3 +202,66 @@ if __name__ == "__main__":
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w") as fh:
         fh.write(render_all())
+
+
+# -- the decomposition an almost split sequence carries ------------------------
+
+def _assert_carried_decomposition(seq):
+    """The middle term's summands are the ones the sequence was built
+    from, in the order of its components: each is the module its component
+    names, projᵢ∘inclⱼ = δᵢⱼ·id, Σ inclᵢ∘projᵢ = id on the middle and
+    f = Σ inclᵢ∘compᵢ."""
+    middle = seq.f.target
+    quiver = middle.win.presentation.quiver
+    comps, parts = seq.meta["components"], seq.meta["parts"]
+    assert len(parts) == len(comps)
+    for (info, comp), (s, incl, proj) in zip(comps, parts):
+        if info["word"] is None:
+            assert s.meta["projective"] == info["projective_at"]
+        else:
+            assert strings.canonical_word(s.meta["word"], quiver) \
+                == info["word"]
+        assert comp.target is s and incl.source is s and proj.target is s
+        assert incl.target is middle and proj.source is middle
+    for i, (s, _, proj) in enumerate(parts):
+        for j, (_, incl, _) in enumerate(parts):
+            both = modules.compose(proj, incl)
+            if i == j:
+                both = both - modules.identity_morphism(s)
+            assert both.is_zero(), (i, j)
+    ident = sum((modules.compose(incl, proj) for _, incl, proj in parts),
+                modules.ModuleMorphism(middle, middle, {}))
+    assert (ident - modules.identity_morphism(middle)).is_zero()
+    f = sum((modules.compose(incl, comp)
+             for (_, comp), (_, incl, _) in zip(comps, parts)),
+            modules.ModuleMorphism(seq.f.source, middle, {}))
+    assert (f - seq.f).is_zero()
+
+
+@pytest.mark.parametrize("case, window, seed, steps", [
+    ("ex4", (-3, 5), "1@0", 18),
+    ("twoloop", (-2, 5), "1@1", 8),
+])
+def test_mesh_middles_carry_their_decomposition(case, window, seed, steps):
+    win = build_repetitive_window(_presentation(case), *window)
+    comp = strings.knit_component(win, StringWord(seed, ()), steps, QQ)
+    assert len(comp.meshes) == steps
+    for mesh in comp.meshes:
+        _assert_carried_decomposition(mesh.seq)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(101)], ids=repr)
+def test_criterion_3_middles_carry_their_decomposition(fld):
+    # The almost split sequences of the A2/A3 oracle: every word up to
+    # length 4 on window 0..3.
+    checked = 0
+    for case in ("a2", "a3"):
+        win = build_repetitive_window(_presentation(case), 0, 3)
+        for w in strings.enumerate_strings(win, 4):
+            try:
+                seq, _ = strings.ar_sequence(win, w, fld)
+            except strings.ArInjectiveError:
+                continue
+            _assert_carried_decomposition(seq)
+            checked += 1
+    assert checked >= 20

@@ -5,17 +5,15 @@ import pytest
 from repstable.fields import PrimeField, QQ
 from repstable.presentation import PathWord, parse_presentation
 from repstable.repetitive import (
-    RepetitiveElement,
     WindowError,
     build_repetitive_window,
-    identity_at,
     maximal_paths,
-    proj_injective_module,
     quotient_by_socle,
     radical_of_projective,
-    repetitive_product,
 )
 from repstable import modules
+
+from repetitive_model import RepetitiveElement, identity_at, repetitive_product
 
 
 def test_maximal_paths(a2, a3, loop, ex4, point):
@@ -124,9 +122,8 @@ def test_serialization_roundtrip(a3):
 
 def test_a2_projective_dims_and_loewy(a2_win, field):
     # Oracle: path count from the window vertex; all length-3 paths vanish.
-    P = proj_injective_module(a2_win, "1", 0, field)
-    view = modules.componentwise_view(P)
-    assert view.degrees == [0, 1]
+    P = a2_win.projective("1", 0, field)
+    assert P.support_degrees() == [0, 1]
     assert sum(P.dim(v) for v in P.dims if a2_win.degree(v) == 0) == 2
     assert sum(P.dim(v) for v in P.dims if a2_win.degree(v) == 1) == 1
     sr = modules.socle_radical(P)
@@ -155,7 +152,7 @@ def test_ex4_projective_dimensions(ex4_win, field):
 
 
 def test_radical_of_projective(a2_win, ex4_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, incl = radical_of_projective(P)
     assert rad.total_dim() == 2
     incl.validate()
@@ -173,7 +170,7 @@ def test_radical_of_projective(a2_win, ex4_win, field):
 
 
 def test_quotient_by_socle(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     quot, proj = quotient_by_socle(P)
     assert quot.total_dim() == 2
     proj.validate()
@@ -188,7 +185,7 @@ def quotient_by_socle_pair(P):
 
 def test_rad_mod_soc_both_ways(a2_win, field):
     # (rad P)/(soc P) has the same dimensions computed either way.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, rad_incl = radical_of_projective(P)
     sr = modules.socle_radical(P)
     # socle sits inside the radical: quotient of rad by soc
@@ -257,3 +254,71 @@ def test_product_associative_and_bilinear(ex4, seed):
     lhs = repetitive_product(x + y, z)
     rhs = repetitive_product(x, z) + repetitive_product(y, z)
     assert lhs.parts == rhs.parts
+
+
+# -- the window's path algebra against the definitional model -----------------
+
+TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
+           "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
+
+
+def _model_image(win, path):
+    """The model element of a window basis path: a path without a connector
+    is itself in its degree, and x, hat_p, y (x in degree z, y in degree
+    z + 1) is y·p*·x, the dual functional of p acted on by both sides."""
+    base = win.base
+    conns = {win.conn_name(p, z): (p, z)
+             for z in range(win.lo, win.hi) for p in win.maximal}
+    at = [i for i, an in enumerate(path.arrows) if an in conns]
+    assert len(at) <= 1, path
+
+    def lowered(source, arrows):
+        v, z = win.vertex_info(source)
+        return z, PathWord(v, tuple(an.rsplit("@", 1)[0] for an in arrows))
+
+    if not at:
+        z, p = lowered(path.source, path.arrows)
+        return RepetitiveElement.make(base, [(z, "alg", p, 1)])
+    i = at[0]
+    p, z = conns[path.arrows[i]]
+    _, x = lowered(path.source, path.arrows[:i])
+    _, y = lowered(win.vname(p.source, z + 1), path.arrows[i + 1:])
+    left = RepetitiveElement.make(base, [(z + 1, "alg", y, 1)])
+    dual = RepetitiveElement.make(base, [(z, "dual", p, 1)])
+    right = RepetitiveElement.make(base, [(z, "alg", x, 1)])
+    return repetitive_product(repetitive_product(left, dual), right)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "loop", "point", "twoloop",
+                                  "ex4"])
+def test_window_multiplies_like_the_model(request, name):
+    # The window path algebra is the repetitive algebra: basis paths map to
+    # distinct single terms of Λ ⋉ DΛ, and the normal form of every
+    # composite maps to the product of the images.
+    pres = (parse_presentation(TWOLOOP) if name == "twoloop"
+            else request.getfixturevalue(name))
+    win = build_repetitive_window(pres, -1, 3)
+    wpres = win.presentation
+    basis = wpres.path_basis()
+    image = {}
+    for path in basis:
+        elem = _model_image(win, path)
+        assert len(elem.parts) == 1, (str(path), elem.parts)
+        image[path] = elem
+    assert len({e.parts for e in image.values()}) == len(basis)
+    pairs = 0
+    for first in basis:
+        for then in basis:
+            if first.target(wpres.quiver) != then.source:
+                continue
+            pairs += 1
+            nf = wpres.path_normal_form(
+                PathWord(first.source, first.arrows + then.arrows))
+            product = repetitive_product(image[then], image[first])
+            if nf.is_zero:
+                assert product.is_zero(), (str(first), str(then))
+            else:
+                (z, kind, key, c), = image[nf.path].parts
+                assert product.parts == ((z, kind, key, c * nf.coeff),), (
+                    str(first), str(then))
+    assert pairs > len(basis)

@@ -6,7 +6,6 @@ from repstable.fields import PrimeField, QQ
 from repstable.presentation import parse_presentation
 from repstable.repetitive import (
     build_repetitive_window,
-    proj_injective_module,
     quotient_by_socle,
     radical_of_projective,
 )
@@ -15,7 +14,7 @@ from repstable.strings import StringWord
 
 
 def test_factor_zero_morphism(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     s = modules.simple_module(a2_win, field, "2@1")
     zero = modules.ModuleMorphism(s, P, {})
     assert stable.factor_through_projinj(zero) is not None
@@ -29,7 +28,7 @@ def test_factor_identity_of_nonprojective(a2_win, field):
 def test_factor_recovers_explicit_composite(a2_win, field):
     # A map explicitly built through a projective-injective is recognized;
     # the solver need not return the same witness, only a valid one.
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     rad, incl = radical_of_projective(P)
     quot, proj = quotient_by_socle(P)
     h = modules.compose(proj, incl)  # rad -> P -> P/soc
@@ -40,7 +39,7 @@ def test_factor_recovers_explicit_composite(a2_win, field):
 
 
 def test_stable_equal_reflexive_and_perturbed(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     rad, incl = radical_of_projective(P)
     assert stable.stable_equal(incl, incl)
     quot, proj = quotient_by_socle(P)
@@ -50,7 +49,7 @@ def test_stable_equal_reflexive_and_perturbed(a2_win, field):
 
 
 def test_cosyzygy_of_socle(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     sr = modules.socle_radical(P)
     om, data = stable.cosyzygy(sr.soc)
     quot, _ = quotient_by_socle(P)
@@ -60,7 +59,7 @@ def test_cosyzygy_of_socle(a2_win, field):
 
 
 def test_cosyzygy_of_projective_vanishes(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     om, _ = stable.cosyzygy(P)
     assert om.total_dim() == 0
 
@@ -77,7 +76,7 @@ def test_omega_inverse_then_omega(ex4_win, field):
 
 
 def test_triangle_split_sequence_has_zero_connecting(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     s = modules.simple_module(a2_win, field, "2@2")
     total, incls, projs = modules.direct_sum([s, P])
     seq = modules.ShortExactSeq(incls[0], projs[1])
@@ -86,7 +85,7 @@ def test_triangle_split_sequence_has_zero_connecting(a2_win, field):
 
 
 def test_triangle_socle_sequence_connecting_iso(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     sr = modules.socle_radical(P)
     kc = modules.kernel_cokernel(sr.soc_incl)
     seq = modules.ShortExactSeq(sr.soc_incl, kc.coker_proj)
@@ -102,14 +101,14 @@ def test_triangle_socle_sequence_connecting_iso(a2_win, field):
 def test_classify_radical_inclusion(a2_win, field):
     # The radical inclusion into a projective with nonzero lower radical
     # is split except at the lower degree.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, incl = radical_of_projective(P)
     verdict = stable.classify_irreducible(incl)
     assert verdict.kind == "sirreducible" and verdict.degree == 0
 
 
 def test_classify_certifies_non_irreducible(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
     # soc -> P is not irreducible: it factors through rad P.
     verdict = stable.classify_irreducible(sr.soc_incl, certify=True,
@@ -161,7 +160,7 @@ def test_check_ar_axioms_pass_and_split_fail(a2_win, field):
     assert rep.ars1 and rep.ars2
     assert rep.art1 and rep.art2 and rep.art3 and rep.art3_star
     # a split sequence fails the first axiom
-    P = proj_injective_module(win, "1", 1, field)
+    P = win.projective("1", 1, field)
     s = modules.simple_module(win, field, "2@2")
     total, incls, projs = modules.direct_sum([s, P])
     split = modules.ShortExactSeq(incls[0], projs[1])
@@ -314,22 +313,32 @@ def test_classify_stable_via_wrapper(ex4_win, field):
         ex4_win, StringWord("2@0", (("hat_alpha@0", 1),)), field)
     info, comp = [c for c in seq.meta["components"]
                   if c[0]["projective_at"] is None][0]
-    sh = stable.StableMorphism(comp)
-    verdict = stable.classify_stable(sh)
-    assert verdict.kind == "sepic"
+    assert stable.classify_irreducible(comp).kind == "sepic"
     tri, phat = stable.ar_triangle_from_sequence(seq)
-    sh2 = stable.StableMorphism(tri.hp)
-    assert stable.classify_stable(sh2).kind == "sirreducible"
+    assert stable.classify_irreducible(tri.hp).kind == "sirreducible"
 
 
 def test_stable_morphism_zero_cache(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 1, field)
+    P = a2_win.projective("1", 1, field)
     rad, incl = radical_of_projective(P)
     quot, proj = quotient_by_socle(P)
     through = modules.compose(proj, incl)
-    sh = stable.StableMorphism(through)
-    assert sh.is_stably_zero()
-    assert sh.witness is not None
+    assert stable.factor_through_projinj(through) is not None
+
+
+def slice_component_irreducible(h, z, universe_len):
+    """Whether the degree-z component of a morphism, viewed over the base
+    algebra, is irreducible: neither split nor in the span of composites
+    of non-isomorphisms through the base string modules up to
+    ``universe_len`` letters (the paper's "exactly one irreducible
+    component")."""
+    hz = h.slice(z)
+    if modules.is_split_mono(hz) or modules.is_split_epi(hz):
+        return False
+    ctx = strings.base_context(h.source.win)
+    universe = [strings.string_module(ctx, w, hz.source.field)
+                for w in strings.enumerate_strings(ctx, universe_len)]
+    return not stable.rad_square_membership(hz, universe)
 
 
 def test_flagged_degree_component_is_irreducible(ex4_win, field):
@@ -346,7 +355,7 @@ def test_flagged_degree_component_is_irreducible(ex4_win, field):
         for hmap in (tri.h, tri.hp):
             verdict = stable.classify_irreducible(hmap)
             if verdict.kind == "sirreducible":
-                assert stable.slice_component_irreducible(
+                assert slice_component_irreducible(
                     hmap, verdict.degree, universe_len=5)
                 checked += 1
     assert checked >= 2
@@ -355,8 +364,8 @@ def test_flagged_degree_component_is_irreducible(ex4_win, field):
 def test_slice_certificate_rejects_reducible(a2_win, field):
     # The socle inclusion of a projective is not irreducible; its unique
     # nonzero degree component factors through the radical.
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
     z = a2_win.degree(sr.soc.sorted_support()[0])
-    assert not stable.slice_component_irreducible(sr.soc_incl, z,
+    assert not slice_component_irreducible(sr.soc_incl, z,
                                                   universe_len=5)

@@ -4,7 +4,6 @@ from repstable.fields import PrimeField, QQ
 from repstable.presentation import parse_presentation
 from repstable.repetitive import (
     build_repetitive_window,
-    proj_injective_module,
     radical_of_projective,
 )
 from repstable import modules, stable, strings
@@ -79,7 +78,7 @@ def test_word_and_inverse_isomorphic(ex4_win, field):
 
 
 def test_string_module_matches_radical(a2_win, field):
-    P = proj_injective_module(a2_win, "1", 0, field)
+    P = a2_win.projective("1", 0, field)
     rad, _ = radical_of_projective(P)
     w = StringWord("2@0", (("hat_a@0", 1),))
     m = strings.string_module(a2_win, w, field)
