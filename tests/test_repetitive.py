@@ -262,13 +262,12 @@ TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
            "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
 
 
-def _model_image(win, path):
+def _model_image(win, conns, path):
     """The model element of a window basis path: a path without a connector
     is itself in its degree, and x, hat_p, y (x in degree z, y in degree
-    z + 1) is y·p*·x, the dual functional of p acted on by both sides."""
+    z + 1) is y·p*·x, the dual functional of p acted on by both sides.
+    ``conns`` maps each connector name to its maximal path and degree."""
     base = win.base
-    conns = {win.conn_name(p, z): (p, z)
-             for z in range(win.lo, win.hi) for p in win.maximal}
     at = [i for i, an in enumerate(path.arrows) if an in conns]
     assert len(at) <= 1, path
 
@@ -300,9 +299,11 @@ def test_window_multiplies_like_the_model(request, name):
     win = build_repetitive_window(pres, -1, 3)
     wpres = win.presentation
     basis = wpres.path_basis()
+    conns = {win.conn_name(p, z): (p, z)
+             for z in range(win.lo, win.hi) for p in win.maximal}
     image = {}
     for path in basis:
-        elem = _model_image(win, path)
+        elem = _model_image(win, conns, path)
         assert len(elem.parts) == 1, (str(path), elem.parts)
         image[path] = elem
     assert len({e.parts for e in image.values()}) == len(basis)
