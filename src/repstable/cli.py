@@ -184,7 +184,12 @@ def cmd_ar(cfg: RunConfig):
     return 0 if ok else 1
 
 
-def _knit(cfg: RunConfig, win, fld):
+def _knit(cfg: RunConfig):
+    """The component that ``knit``, ``triangles`` and ``example4`` report
+    on, knitted from the configured seed."""
+    pres = _load_presentation(cfg.input_path)
+    win = build_repetitive_window(pres, *cfg.window)
+    fld = get_field(cfg.characteristic)
     seed = (_resolve_seed(win, cfg.seed) if cfg.seed
             else strings.StringWord(
                 win.vname(sorted(win.base.quiver.vertices)[0],
@@ -196,10 +201,10 @@ def _knit(cfg: RunConfig, win, fld):
 
 
 def cmd_knit(cfg: RunConfig):
-    pres = _load_presentation(cfg.input_path)
-    win = build_repetitive_window(pres, *cfg.window)
-    fld = get_field(cfg.characteristic)
-    comp = _knit(cfg, win, fld)
+    return _write_component(cfg, _knit(cfg))
+
+
+def _write_component(cfg: RunConfig, comp):
     header = "\n".join(cfg.header_lines()) + "\n"
     _write_artifact(cfg.out_dir, "component.dot",
                     header + strings.component_dot(comp))
@@ -229,10 +234,10 @@ FINDINGS_HEADER = ("# triangle\tstart\tend\tclass_h\tclass_hp\tclause\t"
 
 
 def cmd_triangles(cfg: RunConfig):
-    pres = _load_presentation(cfg.input_path)
-    win = build_repetitive_window(pres, *cfg.window)
-    fld = get_field(cfg.characteristic)
-    comp = _knit(cfg, win, fld)
+    return _write_findings(cfg, _knit(cfg))
+
+
+def _write_findings(cfg: RunConfig, comp):
     lines = cfg.header_lines() + [FINDINGS_HEADER]
     all_pass = True
     for i, mesh in enumerate(comp.meshes):
@@ -258,8 +263,9 @@ def cmd_example4(cfg: RunConfig, check: bool):
     cfg.window = (-3, 5)
     cfg.max_len = 12
     cfg.seed = "v:1@0"
-    rc1 = cmd_knit(cfg)
-    rc2 = cmd_triangles(cfg)
+    comp = _knit(cfg)
+    rc1 = _write_component(cfg, comp)
+    rc2 = _write_findings(cfg, comp)
     if rc1 or rc2:
         return rc1 or rc2
     if not check:

@@ -24,6 +24,8 @@ Design rules; new code uses these shared paths instead of copying them:
   modules, never modules (``RepetitiveWindow.cached_modules``): a module
   refers to its window, so a cached module would make a reference cycle
   that only the cyclic garbage collector frees, window and caches with it.
+  Injective hulls are cached the same way, keyed by the data of the
+  module they embed, with the embedding's blocks as plain matrices.
 - Every decision is exact and deterministic; nothing is sampled.
   Isomorphism and summand tests search a Hom basis for an invertible
   element, which decides them when one side is indecomposable: its
@@ -654,11 +656,22 @@ def direct_sum(mods: list):
 
 
 def injective_hull(m: GradedModule):
-    """Injective hull assembled from the projective-injective covers of
-    the socle constituents one degree down; the embedding extends the
-    socle inclusion and is certified essential via the socle criterion."""
+    """(hull, embedding): the injective hull of ``m``, built once per
+    window, field and module data (``m.key()``) and kept on the window as
+    a payload, the embedding's blocks in the hull's ``meta``.  Every call
+    returns a fresh hull and a fresh embedding of ``m`` itself."""
     if m.is_zero():
         raise ModuleError("injective hull of the zero module")
+    hull = m.win.cached_modules(("injective hull", m.key()), m.field,
+                                lambda: [_build_injective_hull(m)])[0]
+    return hull, ModuleMorphism(m, hull, hull.meta["embedding"])
+
+
+def _build_injective_hull(m: GradedModule) -> GradedModule:
+    """The hull assembled from the projective-injective covers of the
+    socle constituents one degree down, with ``meta["embedding"]`` the
+    blocks of an embedding that extends the socle inclusion and is
+    certified essential via the socle criterion."""
     win, fld = m.win, m.field
     soc, soc_incl = socle(m)
     if min(win.degree(v) for v in soc.dims) - 1 < win.lo:
@@ -703,7 +716,8 @@ def injective_hull(m: GradedModule):
         aug = linalg.hstack([image, hsoc_incl.block(v)])
         if linalg.rank(fld, aug) != linalg.rank(fld, image):
             raise ModuleError("hull embedding is not essential at %s" % v)
-    return hull, emb
+    hull.meta = {"embedding": emb.blocks}
+    return hull
 
 
 @dataclass

@@ -82,6 +82,9 @@ class RepetitiveWindow:
     (``strings.decomposition_candidates``).  Modules are kept as payloads
     (dimensions, action matrices, ``meta``), never as module objects, and
     each lookup wraps them in fresh :class:`modules.GradedModule` objects.
+    ``modules.injective_hull`` keeps its hulls here too, keyed by the data
+    of the embedded module, with the embedding's blocks as plain matrices
+    in the hull's ``meta``.
     A module refers to its window, so a cached module would close a
     reference cycle (window, cache, module, window) and keep every window
     alive, caches and all, until the cyclic garbage collector runs;
@@ -284,7 +287,9 @@ class RepetitiveWindow:
     def cached_modules(self, key, field, build) -> list:
         """The modules that ``build()`` returns, validated modules of this
         window over ``field``, built once per ``key`` and ``field``.  Only
-        their payloads are kept; every call returns fresh modules."""
+        their payloads are kept (for an injective hull, its dimensions and
+        actions and the embedding's blocks); every call returns fresh
+        modules."""
         payloads = self._module_cache.get((key, field))
         if payloads is None:
             payloads = [(m.dims, m.acts, m.meta) for m in build()]

@@ -324,19 +324,22 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
     if modules.is_split_epi(g):
         report.ars2 = False
         report.details.append("right map is split epi")
-    for x in universe:
-        for v in modules.hom_basis(f.source, x):
-            if modules.is_split_mono(v):
-                continue
+    # Per test module, the non-split maps from the start and to the end,
+    # computed once for the ars and the art loops.
+    maps = [(x, [v for v in modules.hom_basis(f.source, x)
+                 if not modules.is_split_mono(v)],
+             [u for u in modules.hom_basis(x, g.target)
+              if not modules.is_split_epi(u)])
+            for x in universe]
+    for x, ins, outs in maps:
+        for v in ins:
             if modules.solve_morphisms(v, [("R", f)]) is None:
                 report.ars1 = False
                 report.details.append(
                     "map to %s does not factor through the middle"
                     % _module_name(x))
                 break
-        for u in modules.hom_basis(x, g.target):
-            if modules.is_split_epi(u):
-                continue
+        for u in outs:
             if modules.solve_morphisms(u, [("L", g)]) is None:
                 report.ars2 = False
                 report.details.append(
@@ -363,25 +366,20 @@ def check_ar_axioms(seq: "modules.ShortExactSeq", universe,
     report.art1 = ends_ok
     report.art2 = factor_through_projinj(tri.hpp) is None
     # One hull per module: the triangle's hull embedding of the start, and
-    # each test module's hull the first time one of its maps needs it.
+    # the hull of each test module with a non-split map to the end.
     start_hull = tri.data["embedding"]
     report.art3 = report.art3_star = True
-    for x in universe:
-        x_hull = None
-        for u in modules.hom_basis(x, g.target):
-            if modules.is_split_epi(u):
-                continue
-            if x_hull is None:
-                x_hull = modules.injective_hull(ensure_module_margin(x))[1]
+    for x, ins, outs in maps:
+        if outs:
+            x_hull = modules.injective_hull(ensure_module_margin(x))[1]
+        for u in outs:
             if not _stably_solvable(u, "L", g, x_hull):
                 report.art3 = False
                 report.details.append(
                     "map from %s does not lift stably through the middle"
                     % _module_name(x))
                 break
-        for v in modules.hom_basis(f.source, x):
-            if modules.is_split_mono(v):
-                continue
+        for v in ins:
             if not _stably_solvable(v, "R", f, start_hull):
                 report.art3_star = False
                 report.details.append(

@@ -103,9 +103,19 @@ def test_no_partial_artifacts_left(tmp_path):
     assert not [f for f in os.listdir(out) if f.endswith(".partial")]
 
 
-def test_example4_check(tmp_path):
+def test_example4_check(tmp_path, monkeypatch):
+    # All three artifacts come from one knitted component.
+    calls = []
+    knit = cli.strings.knit_component
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return knit(*args, **kwargs)
+
+    monkeypatch.setattr(cli.strings, "knit_component", counted)
     rc = main(["example4", "--out", str(tmp_path / "ex4"), "--check"])
     assert rc == 0
+    assert len(calls) == 1
 
 
 def test_window_too_short(tmp_path, capsys):

@@ -168,6 +168,25 @@ def test_check_ar_axioms_pass_and_split_fail(a2_win, field):
     assert not rep.ars1
 
 
+def test_check_ar_axioms_asks_for_each_hom_space_once(a3_win, field,
+                                                    monkeypatch):
+    seq, win = strings.ar_sequence(a3_win, StringWord("2@1", ()), field)
+    universe = strings.decomposition_candidates(win, field, 4)
+    asked = []  # the pairs themselves, so that no id is reused
+    hom_basis = modules.hom_basis
+
+    def recorded(m, n):
+        asked.append((m, n))
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(modules, "hom_basis", recorded)
+    rep = stable.check_ar_axioms(seq, universe)
+    assert rep.ars1 and rep.ars2 and rep.art3 and rep.art3_star
+    pairs = [(id(m), id(n)) for m, n in asked]
+    assert len(pairs) >= 2 * len(universe)
+    assert len(set(pairs)) == len(pairs)
+
+
 TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
            "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
 

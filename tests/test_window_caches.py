@@ -1,7 +1,8 @@
-"""What a window computes once and shares: projectives, enlargements and
-decomposition candidates, kept as payloads so that a window is freed by
-reference counting alone; plus the empty-Hom shortcut, the one hull per
-module of the axiom checks and the names their failures give."""
+"""What a window computes once and shares: projectives, enlargements,
+decomposition candidates and injective hulls, kept as payloads so that a
+window is freed by reference counting alone; plus the empty-Hom shortcut,
+the one hull per module of the axiom checks and the names their failures
+give."""
 
 import gc
 import weakref
@@ -11,11 +12,29 @@ import pytest
 
 from repstable import modules, stable, strings
 from repstable.fields import PrimeField
+from repstable.presentation import parse_presentation
 from repstable.repetitive import build_repetitive_window, radical_of_projective
 from repstable.strings import StringWord
 
+TWOLOOP = ("vertices 1 2\narrow l : 1 -> 1\narrow a : 1 -> 2\n"
+           "arrow m : 2 -> 2\nzero l l\nzero m m\nnilpotent 8\n")
 
-def test_window_is_freed_without_the_cycle_collector(a2, field):
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """The keys of the modules whose hulls are built, not looked up."""
+    built = []
+    build = modules._build_injective_hull
+
+    def counted(m):
+        built.append(m.key())
+        return build(m)
+
+    monkeypatch.setattr(modules, "_build_injective_hull", counted)
+    return built
+
+
+def test_window_is_freed_without_the_cycle_collector(a2, field, hull_builds):
     gc.disable()
     try:
         win = build_repetitive_window(a2, 0, 3)
@@ -23,9 +42,14 @@ def test_window_is_freed_without_the_cycle_collector(a2, field):
         strings.decomposition_candidates(win, field, 3)
         child = win.enlarged(2)
         seq, win2 = strings.ar_sequence(win, StringWord("1@1", ()), field)
-        universe = strings.decomposition_candidates(win2, field, 3)
-        report = stable.check_ar_axioms(seq, universe)
-        assert report.ars1 and report.art3 and report.art3_star
+        # The second check finds every hull in the window's cache.
+        builds = []
+        for _ in range(2):
+            universe = strings.decomposition_candidates(win2, field, 3)
+            report = stable.check_ar_axioms(seq, universe)
+            assert report.ars1 and report.art3 and report.art3_star
+            builds.append(len(hull_builds))
+        assert builds[0] == builds[1] > 0
         refs = [weakref.ref(w) for w in (win, child, win2)]
         del win, child, win2, seq, universe, report
         assert [r() for r in refs] == [None, None, None]
@@ -96,6 +120,65 @@ def test_axiom_checks_take_one_hull_per_module(a3, field, monkeypatch):
     # Once as a test module, and at most once more as the start (the
     # triangle) or the end (art2).
     assert max(Counter(hulled).values()) == 2
+
+
+def test_axiom_checks_build_each_hull_once_per_window(a3, field,
+                                                     hull_builds):
+    win = build_repetitive_window(a3, 0, 3)
+    seq, win2 = strings.ar_sequence(win, StringWord("2@1", ()), field)
+    builds = []
+    for _ in range(2):
+        universe = strings.decomposition_candidates(win2, field, 4)
+        report = stable.check_ar_axioms(seq, universe)
+        assert report.art3 and report.art3_star
+        builds.append(len(hull_builds))
+    assert builds[0] == builds[1] > 0
+    assert max(Counter(hull_builds).values()) == 1
+
+
+def test_hull_calls_return_fresh_modules_of_equal_data(a3_win, field,
+                                                      hull_builds):
+    m = strings.string_module(a3_win, StringWord("1@1", (("a@1", 1),)), field)
+    (h1, e1), (h2, e2) = (modules.injective_hull(m) for _ in range(2))
+    assert len(hull_builds) == 1
+    assert h1 is not h2 and h1.key() == h2.key()
+    assert e1 is not e2 and e1.blocks == e2.blocks
+    for h, e in ((h1, e1), (h2, e2)):
+        assert e.source is m and e.target is h and h.win is a3_win
+        e.validate()
+        assert e.rank() == m.total_dim()
+
+
+def test_hulls_in_two_fields_are_separate_entries(a3_win, field,
+                                                  hull_builds):
+    gf = PrimeField(101)
+    for fld in (field, gf, field, gf):
+        m = strings.string_module(a3_win, StringWord("2@1", ()), fld)
+        hull, emb = modules.injective_hull(m)
+        assert hull.field is fld and emb.source.field is fld
+        emb.validate()
+    assert len(hull_builds) == 2
+
+
+def test_hull_cache_is_keyed_by_module_data(field):
+    # M(a.m^-1) and M(a.m) have equal dimension vectors and are not
+    # isomorphic; the third module has the data of M(a.m) and the meta of
+    # M(a.m^-1).  Each hull must be the one an uncached build gives.
+    win = build_repetitive_window(parse_presentation(TWOLOOP), 0, 3)
+    a, b = (strings.string_module(
+        win, StringWord("1@1", (("a@1", 1), ("m@1", sign))), field)
+        for sign in (-1, 1))
+    assert a.dims == b.dims and a.key() != b.key()
+    b_named_a = modules.GradedModule(win, field, b.dims, b.acts, meta=a.meta)
+    embeddings = []
+    for m in (a, b, b_named_a):
+        hull, emb = modules.injective_hull(m)
+        fresh = modules._build_injective_hull(m)
+        assert modules.module_to_text(hull) == modules.module_to_text(fresh)
+        assert emb.blocks == fresh.meta["embedding"]
+        emb.validate()
+        embeddings.append(modules.morphism_to_text(emb))
+    assert embeddings[0] != embeddings[1] == embeddings[2]
 
 
 def test_axiom_failures_name_the_test_module(field, a2):
