@@ -80,13 +80,6 @@ class PathWord:
     def target(self, quiver: Quiver) -> str:
         return quiver.arrows[self.arrows[-1]].target if self.arrows else self.source
 
-    def then(self, other: "PathWord", quiver: Quiver) -> "PathWord":
-        if self.target(quiver) != other.source:
-            raise PresentationError(
-                "paths do not compose: %s ends at %s, %s starts at %s"
-                % (self, self.target(quiver), other, other.source))
-        return PathWord(self.source, self.arrows + other.arrows)
-
     def prefix(self, k: int) -> "PathWord":
         return PathWord(self.source, self.arrows[:k])
 
@@ -191,11 +184,6 @@ class AlgebraPresentation:
                     "non-composable relation path %s at arrow %s" % (p, name))
             at = a.target
 
-    def path(self, source: str, *arrow_names: str) -> PathWord:
-        p = PathWord(source, tuple(arrow_names))
-        self._check_composable(p)
-        return p
-
     # -- normal forms ----------------------------------------------------
 
     def _hits_monomial(self, arrows: tuple) -> bool:
@@ -267,9 +255,6 @@ class AlgebraPresentation:
         basis.sort(key=lambda p: (len(p), p.source, p.arrows))
         self._basis_cache = basis
         return basis
-
-    def dimension(self) -> int:
-        return len(self.path_basis())
 
     # -- serialization ---------------------------------------------------
 

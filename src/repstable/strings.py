@@ -86,16 +86,13 @@ def canonical_word(w: StringWord, quiver) -> StringWord:
 
 
 class StringContext:
-    """Validity data shared by all word operations: the quiver and its
-    arrow table, the forbidden direct subwords (vanishing paths and both
-    sides of every socle identification) and, for windows, the degree
-    bookkeeping."""
+    """Validity data shared by all word operations on a window: its
+    presentation's quiver and the forbidden direct subwords (vanishing
+    paths and both sides of every socle identification)."""
 
-    def __init__(self, pres, table, win=None):
+    def __init__(self, pres):
         self.pres = pres
         self.quiver = pres.quiver
-        self.table = table
-        self.win = win
         self.forbidden = pres.forbidden_subwords
         self._maxforb = max(map(len, self.forbidden), default=0)
 
@@ -163,28 +160,15 @@ class StringContext:
 
 
 def window_context(win) -> StringContext:
-    return StringContext(win.presentation, win.table, win)
-
-
-def base_context(win) -> StringContext:
-    """Words over the base algebra of a window; their string modules are
-    representations of the same base quiver as the window's degree
-    slices."""
-    return StringContext(win.base, win.base_table)
-
-
-def _context(win) -> StringContext:
-    return win if isinstance(win, StringContext) else window_context(win)
+    return StringContext(win.presentation)
 
 
 # -- string modules ---------------------------------------------------------
 
-def string_module(win, w: StringWord, fieldobj) -> "modules.RepView":
-    """The representation with one basis vector per walk position and
-    arrow actions along the letters; dimension is ``len(w) + 1``.  ``win``
-    is a window (giving a validated :class:`modules.GradedModule`) or a
-    StringContext."""
-    ctx = _context(win)
+def string_module(win, w: StringWord, fieldobj) -> "modules.GradedModule":
+    """The validated window module with one basis vector per walk position
+    and arrow actions along the letters; dimension is ``len(w) + 1``."""
+    ctx = window_context(win)
     if not ctx.is_valid(w):
         raise StringError("invalid string word %s" % w)
     positions = w.positions(ctx.quiver)
@@ -206,9 +190,7 @@ def string_module(win, w: StringWord, fieldobj) -> "modules.RepView":
         i = at_vertex[arr.target].index(tgt_pos)
         j = at_vertex[arr.source].index(src_pos)
         m[i][j] = fieldobj.one()
-    if ctx.win is None:
-        return modules.RepView(ctx.table, fieldobj, dims, acts)
-    mod = modules.GradedModule(ctx.win, fieldobj, dims, acts,
+    mod = modules.GradedModule(win, fieldobj, dims, acts,
                                meta={"word": w, "positions": positions})
     mod.validate()
     return mod
@@ -244,21 +226,21 @@ def enumerate_strings(win, max_len: int, interior_only=True,
                       with_bands=False):
     """All valid words up to the length bound, one representative per
     inverse pair, sorted by (length, encoding).  Band words are skipped
-    (and returned separately when ``with_bands`` is set).  ``win`` is a
-    window or a StringContext; ``interior_only`` keeps, on a window, the
-    words that avoid its two boundary degrees."""
-    ctx = _context(win)
+    (and returned separately when ``with_bands`` is set).
+    ``interior_only`` keeps the words that avoid the window's two boundary
+    degrees."""
+    ctx = window_context(win)
     quiver = ctx.quiver
 
     def vertex_ok(vn):
-        if interior_only and ctx.win is not None:
-            return ctx.win.is_interior(vn)
+        if interior_only:
+            return win.is_interior(vn)
         return True
 
     seen = set()
     words = []
     bands = []
-    frontier = [StringWord(v, ()) for v in ctx.table.vertices
+    frontier = [StringWord(v, ()) for v in win.table.vertices
                 if vertex_ok(v)]
     for w in frontier:
         seen.add(canonical(w, quiver))
@@ -271,7 +253,7 @@ def enumerate_strings(win, max_len: int, interior_only=True,
             # of the next length is reached.
             for base in (w, w.inverse(quiver)) if w.letters else (w,):
                 x = base.end(quiver)
-                for arr in ctx.table.arrows:
+                for arr in win.table.arrows:
                     for sign in (1, -1):
                         start = arr.source if sign > 0 else arr.target
                         lands = arr.target if sign > 0 else arr.source
@@ -432,11 +414,11 @@ def _needs_margin(ctx, w: StringWord, win) -> bool:
     return min(degs) <= win.lo + 1 or max(degs) >= win.hi - 1
 
 
-def ensure_margin(win, words, margin: int = 2, cap: int = 12):
-    """A window on which every listed word keeps ``margin`` free degrees
-    on both sides, enlarging in steps of two."""
+def ensure_margin(win, words):
+    """A window on which every listed word keeps more than two free
+    degrees on both sides, enlarging in steps of two."""
     cur = win
-    for _ in range(cap):
+    for _ in range(12):
         degs = set()
         for w in words:
             ctx = window_context(cur)
@@ -444,7 +426,7 @@ def ensure_margin(win, words, margin: int = 2, cap: int = 12):
                 break
             for v in w.positions(ctx.quiver):
                 degs.add(cur.degree(v))
-        if degs and min(degs) - cur.lo > margin and cur.hi - max(degs) > margin:
+        if degs and min(degs) - cur.lo > 2 and cur.hi - max(degs) > 2:
             return cur
         cur = cur.enlarged(2)
     raise EnlargementError("window enlargement cap reached")

@@ -8,7 +8,7 @@ from repstable.strings import StringWord
 
 def test_bundled_presentation_is_gentle(ex4):
     assert validate_gentle(ex4).is_gentle
-    assert ex4.dimension() == 11
+    assert len(ex4.path_basis()) == 11
 
 
 def ar_and_shape(win, word, field):

@@ -164,7 +164,7 @@ def test_check_ar_axioms_pass_and_split_fail(a2_win, field):
     s = modules.simple_module(win, field, "2@2")
     total, incls, projs = modules.direct_sum([s, P])
     split = modules.ShortExactSeq(incls[0], projs[1])
-    rep = stable.check_ar_axioms(split, universe[:4], with_triangle=False)
+    rep = stable.check_ar_axioms(split, universe[:4])
     assert not rep.ars1
 
 
@@ -350,13 +350,18 @@ def slice_component_irreducible(h, z, universe_len):
     algebra, is irreducible: neither split nor in the span of composites
     of non-isomorphisms through the base string modules up to
     ``universe_len`` letters (the paper's "exactly one irreducible
-    component")."""
+    component").  The base string modules are the degree-z slices of the
+    window string modules that lie in degree z: a ↦ a@z lifts the base
+    words one-to-one onto the window words of that degree."""
     hz = h.slice(z)
     if modules.is_split_mono(hz) or modules.is_split_epi(hz):
         return False
-    ctx = strings.base_context(h.source.win)
-    universe = [strings.string_module(ctx, w, hz.source.field)
-                for w in strings.enumerate_strings(ctx, universe_len)]
+    win = h.source.win
+    quiver = win.presentation.quiver
+    universe = [strings.string_module(win, w, hz.source.field).slice_view(z)
+                for w in strings.enumerate_strings(win, universe_len,
+                                                   interior_only=False)
+                if {win.degree(v) for v in w.positions(quiver)} == {z}]
     return not stable.rad_square_membership(hz, universe)
 
 

@@ -1,8 +1,8 @@
 """What a window computes once and shares: projectives, enlargements,
 decomposition candidates and injective hulls, kept as payloads so that a
 window is freed by reference counting alone; plus the empty-Hom shortcut,
-the one hull per module of the axiom checks and the names their failures
-give."""
+the hulls and stable solves of the axiom checks and the names their
+failures give."""
 
 import gc
 import weakref
@@ -117,9 +117,37 @@ def test_axiom_checks_take_one_hull_per_module(a3, field, monkeypatch):
     monkeypatch.setattr(modules, "injective_hull", counted)
     report = stable.check_ar_axioms(seq, universe)
     assert report.art3 and report.art3_star
-    # Once as a test module, and at most once more as the start (the
-    # triangle) or the end (art2).
-    assert max(Counter(hulled).values()) == 2
+    # An almost split sequence leaves no test module an open map, so only
+    # the start (the triangle) and the end (art2, the source of the
+    # connecting map) are hulled, each once.
+    assert max(Counter(hulled).values()) == 1
+    assert set(hulled) == {seq.f.source.key(), seq.g.target.key()}
+
+
+def test_triangle_axioms_solve_only_the_open_maps(a2, a3, field,
+                                                  monkeypatch):
+    solved = []
+    stably_solvable = stable._stably_solvable
+
+    def counted(rhs, side, known, iota):
+        solved.append(side)
+        return stably_solvable(rhs, side, known, iota)
+
+    monkeypatch.setattr(stable, "_stably_solvable", counted)
+    win = build_repetitive_window(a3, 0, 3)
+    seq, win2 = strings.ar_sequence(win, StringWord("2@1", ()), field)
+    report = stable.check_ar_axioms(
+        seq, strings.decomposition_candidates(win2, field, 4))
+    assert report.art3 and report.art3_star
+    assert solved == []
+    # rad P -> P -> top P leaves one open map from the start (to 1_(2@1))
+    # and one to the end (from a@1).
+    win = build_repetitive_window(a2, -2, 5)
+    radm, incl = radical_of_projective(win.projective("1", 1, field))
+    kc = modules.kernel_cokernel(incl)
+    seq = modules.ShortExactSeq(incl, kc.coker_proj)
+    stable.check_ar_axioms(seq, strings.decomposition_candidates(win, field, 3))
+    assert sorted(solved) == ["L", "R"]
 
 
 def test_axiom_checks_build_each_hull_once_per_window(a3, field,
