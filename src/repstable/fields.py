@@ -2,9 +2,11 @@
 
 Every rank, solvability and classification decision in this package is made
 with exact arithmetic; there are no numerical tolerances anywhere.  Field
-elements support ``+ - * /``, ``==`` and ``bool`` (nonzero test), so the
-linear algebra in :mod:`repstable.linalg` is written once and runs over both
-fields.
+elements support ``+ - *``, ``==`` and ``bool`` (nonzero test), and division
+is ``field.div(a, b)``, so the linear algebra in :mod:`repstable.linalg` is
+written once and runs over both fields.  Rational elements are ``int``
+values unless a quotient is not integral, and ``int / int`` gives a float,
+so no other module divides scalars with ``/``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class Mod:
     def __mul__(self, other: "Mod") -> "Mod":
         return Mod(self.v * other.v, self.p)
 
-    def __truediv__(self, other: "Mod") -> "Mod":
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
-        return Mod(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Mod) and self.p == other.p and self.v == other.v
 
@@ -52,19 +49,30 @@ class Mod:
 
 
 class RationalField:
-    """The field of rational numbers; elements are ``fractions.Fraction``."""
+    """The field of rational numbers.  Elements are ``int`` values; a
+    ``fractions.Fraction`` appears only where :meth:`div` meets a quotient
+    that is not integral (and in what is computed from it).  The two mix
+    exactly, and ``n`` and ``Fraction(n)`` are equal, hash alike, sort
+    alike and format alike, so which one a value is never shows in a
+    result."""
 
     characteristic = 0
-    _zero, _one = Fraction(0), Fraction(1)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def of_int(self, n: int):
-        return Fraction(n)
+        return n
+
+    def div(self, a, b):
+        """``a / b``: an ``int`` when the quotient is integral."""
+        if type(a) is int and type(b) is int and not a % b:
+            return a // b
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def fmt(self, x) -> str:
         return "%d/%d" % (x.numerator, x.denominator)
@@ -101,6 +109,13 @@ class PrimeField:
 
     def of_int(self, n: int):
         return Mod(n, self.characteristic)
+
+    def div(self, a, b):
+        """``a / b``, through the inverse ``b ** (p - 2)``."""
+        p = self.characteristic
+        if b.v == 0:
+            raise ZeroDivisionError("division by zero in GF(%d)" % p)
+        return Mod(a.v * pow(b.v, p - 2, p), p)
 
     def fmt(self, x) -> str:
         return "%d/1" % x.v

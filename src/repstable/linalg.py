@@ -14,6 +14,12 @@ order it eliminates in.  :func:`rref`, :func:`rank`, :func:`nullspace`,
 take and return plain matrices, and reach the core through :func:`rref`.
 Callers that build their systems as sparse rows use :func:`nullspace_rows`
 and :func:`solve_rows`.
+
+Entries are only added, subtracted, multiplied and compared; the one
+division, scaling a pivot row to a leading one, goes through ``field.div``.
+Over QQ the entries are ``int`` values, and the systems of this package
+almost always have pivots of +-1, so elimination runs on Python integers
+and falls back to ``Fraction`` only where a pivot does not divide its row.
 """
 
 from __future__ import annotations
@@ -125,7 +131,7 @@ def _eliminate(field, rows):
         c = min(row)
         lead = row[c]
         if lead != one:
-            inv = one / lead
+            inv = field.div(one, lead)
             row = {k: x * inv for k, x in row.items()}
         for prow in pivots.values():
             f = prow.pop(c, None)

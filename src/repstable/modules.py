@@ -803,7 +803,8 @@ def _eigenvalue(m: RepView, h: ModuleMorphism):
     support = m.sorted_support()
     for v in support:
         if not p or m.dim(v) % p:
-            return linalg.trace(fld, h.block(v)) / fld.of_int(m.dim(v))
+            return fld.div(linalg.trace(fld, h.block(v)),
+                           fld.of_int(m.dim(v)))
     v = support[0]
     for c in range(p):
         shifted = linalg.mat_sub(h.block(v), linalg.mat_scale(

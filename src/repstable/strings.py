@@ -167,7 +167,15 @@ def window_context(win) -> StringContext:
 
 def string_module(win, w: StringWord, fieldobj) -> "modules.GradedModule":
     """The validated window module with one basis vector per walk position
-    and arrow actions along the letters; dimension is ``len(w) + 1``."""
+    and arrow actions along the letters; dimension is ``len(w) + 1``.
+    Built once per window, word and field; every call returns a fresh
+    module."""
+    return win.cached_modules(
+        ("string", w), fieldobj,
+        lambda: [_build_string_module(win, w, fieldobj)])[0]
+
+
+def _build_string_module(win, w: StringWord, fieldobj):
     ctx = window_context(win)
     if not ctx.is_valid(w):
         raise StringError("invalid string word %s" % w)

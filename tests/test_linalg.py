@@ -4,7 +4,9 @@
 started from.  The reduced row echelon form of a matrix is unique, so
 every routine of :mod:`repstable.linalg` must agree with it exactly, in
 every field, whatever order the kernel eliminates in; the sparse-row entry
-points must agree with the dense ones.
+points must agree with the dense ones.  Rational entries are drawn both as
+``int`` values and as non-integral ``Fraction`` values, so the integer path
+of the kernel and its ``Fraction`` fallback are both checked.
 """
 
 import random
@@ -34,7 +36,7 @@ def reference_rref(field, a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.one() / m[r][c]
+        inv = field.div(field.one(), m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
@@ -86,8 +88,13 @@ def reference_inverse(field, a):
 
 
 def element(field, rng):
+    """A random scalar; over QQ half of them are ``int`` values and half
+    non-integral ``Fraction`` values."""
     if field is QQ:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        d = rng.randint(2, 4)
+        return Fraction(rng.choice([n for n in range(-9, 10) if n % d]), d)
     return field.of_int(rng.randrange(field.characteristic))
 
 
@@ -188,6 +195,45 @@ def test_larger_sparse_systems(field, density):
                                 random_matrix(field, rng, rows, cols, density))
         b = random_matrix(field, rng, len(a), 2, density)
         check_all(field, a, b)
+
+
+def test_rational_division_is_int_when_integral():
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(Fraction(3, 2), Fraction(3, 4))) is int
+    assert QQ.div(Fraction(3, 2), Fraction(3, 4)) == 2
+    assert type(QQ.div(-3, 3)) is int and QQ.div(-3, 3) == -1
+    assert (QQ.zero(), QQ.one(), QQ.of_int(-5)) == (0, 1, -5)
+    assert all(type(x) is int for x in (QQ.zero(), QQ.one(), QQ.of_int(7)))
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def test_prime_field_division():
+    gf = PrimeField(101)
+    assert gf.div(gf.of_int(1), gf.of_int(2)) == gf.of_int(51)
+    assert gf.div(gf.of_int(6), gf.of_int(3)) == gf.of_int(2)
+    with pytest.raises(ZeroDivisionError, match=r"GF\(101\)"):
+        gf.div(gf.one(), gf.zero())
+
+
+def as_fractions(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+def test_int_matrices_and_their_fraction_copies_agree(density):
+    # One integer matrix given as ints and as Fractions: the kernel stays
+    # on ints for the first wherever the quotients are integral, runs on
+    # Fractions for the second, and both equal the dense reference.
+    rng = random.Random(11)
+    for rows, cols in ((6, 5), (5, 8), (9, 4)):
+        a = [[rng.randint(-3, 3) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(rows)]
+        check_all(QQ, a, b)
+        check_all(QQ, as_fractions(a), as_fractions(b))
+        assert linalg.rref(QQ, a) == linalg.rref(QQ, as_fractions(a))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

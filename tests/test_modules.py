@@ -238,16 +238,20 @@ def test_non_isomorphism_is_exact(fld):
             [modules.morphism_to_text(h) for h in hom]
 
 
+def _package_trees():
+    """(file name, syntax tree) of every module of the package."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "repstable")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_no_module_imports_random():
     # Every decision is exact; a seeded search must not come back.  The
     # package stays stdlib-only: every absolute import names a module of
     # the standard library.
-    src = os.path.join(os.path.dirname(__file__), "..", "src", "repstable")
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 mods = [alias.name for alias in node.names]
@@ -259,6 +263,17 @@ def test_no_module_imports_random():
             assert "random" not in tops, name
             for top in tops:
                 assert top in sys.stdlib_module_names, (name, top)
+
+
+def test_only_fields_divide():
+    # Rational scalars are ints where integral, and int / int is a float:
+    # every division goes through field.div, so no other module has one.
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _package_trees() if name != "fields.py"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div)]
+    assert found == []
 
 
 def test_commutation_exactness_of_all_morphisms(a2_win, field):

@@ -53,3 +53,30 @@ def test_knitted_shapes(case):
         tri, phat = stable.ar_triangle_from_sequence(mesh.seq)
         finding = stable.verify_shape_table(tri, phat)
         assert finding.passed, (name, mesh.start, finding.violations)
+
+
+def _entries(*maps):
+    """Every entry of the blocks of ``maps`` and of the actions of their
+    sources and targets."""
+    for h in maps:
+        for mat in list(h.blocks.values()) + [
+                a for m in (h.source, h.target) for a in m.acts.values()]:
+            for row in mat:
+                yield from row
+
+
+def test_twoloop_triangles_stay_on_ints():
+    # Every entry of the two-loop component's systems is +-1 and every
+    # quotient integral, so over QQ no entry may leave int; a stray
+    # Fraction(1) would put every operation on it on the slow path.
+    win = build_repetitive_window(parse_presentation(CASES["twoloop"][0]),
+                                  -2, 5)
+    comp = strings.knit_component(win, StringWord(win.vname("1", 1), ()),
+                                  8, QQ)
+    assert len(comp.meshes) == 8
+    for mesh in comp.meshes:
+        tri, _ = stable.ar_triangle_from_sequence(mesh.seq)
+        maps = [mesh.seq.f, mesh.seq.g, tri.h, tri.hp, tri.hpp,
+                *mesh.edge_maps]
+        types = {type(x) for x in _entries(*maps)}
+        assert types == {int}, (mesh.start, types)

@@ -1,8 +1,8 @@
 """What a window computes once and shares: projectives, enlargements,
-decomposition candidates and injective hulls, kept as payloads so that a
-window is freed by reference counting alone; plus the empty-Hom shortcut,
-the hulls and stable solves of the axiom checks and the names their
-failures give."""
+string modules, decomposition candidates and injective hulls, kept as
+payloads so that a window is freed by reference counting alone; plus the
+empty-Hom shortcut, the hulls and stable solves of the axiom checks and the
+names their failures give."""
 
 import gc
 import weakref
@@ -34,11 +34,27 @@ def hull_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def string_builds(monkeypatch):
+    """The (window, word, field) of every string module built, not looked
+    up."""
+    built = []
+    build = strings._build_string_module
+
+    def counted(win, w, fieldobj):
+        built.append((id(win), w, repr(fieldobj)))
+        return build(win, w, fieldobj)
+
+    monkeypatch.setattr(strings, "_build_string_module", counted)
+    return built
+
+
 def test_window_is_freed_without_the_cycle_collector(a2, field, hull_builds):
     gc.disable()
     try:
         win = build_repetitive_window(a2, 0, 3)
         win.all_projectives(field)
+        strings.string_module(win, StringWord("1@1", (("a@1", 1),)), field)
         strings.decomposition_candidates(win, field, 3)
         child = win.enlarged(2)
         seq, win2 = strings.ar_sequence(win, StringWord("1@1", ()), field)
@@ -64,6 +80,25 @@ def test_decomposition_candidates_are_fresh_modules_of_equal_data(
     assert [m.key() for m in first] == [m.key() for m in second]
     assert not {id(m) for m in first} & {id(m) for m in second}
     assert all(m.win is a3_win for m in second)
+
+
+def test_string_modules_are_fresh_modules_of_equal_data(a3, field,
+                                                       string_builds):
+    win = build_repetitive_window(a3, 0, 3)
+    words = [StringWord("1@1", (("a@1", 1),)), StringWord("2@1", ()),
+             StringWord("1@1", (("a@1", 1),))]
+    mods = [strings.string_module(win, w, fld)
+            for fld in (field, PrimeField(101)) for w in words]
+    assert len({id(m) for m in mods}) == len(mods)
+    assert mods[0].key() == mods[2].key() and mods[0].meta == mods[2].meta
+    assert mods[0].key() != mods[1].key()
+    assert mods[0].meta["word"] == words[0]
+    assert all(m.win is win for m in mods)
+    assert [repr(m.field) for m in mods[3:]] == ["GF(101)"] * 3
+    # One build per window, word and field: the repeated word is looked up.
+    assert len(string_builds) == len(set(string_builds)) == 4
+    strings.string_module(win.enlarged(2), words[1], field)
+    assert len(string_builds) == 5
 
 
 def test_projectives_are_fresh_modules_of_equal_data(a3_win, field):
