@@ -20,12 +20,16 @@ Design rules; new code uses these shared paths instead of copying them:
 - Every sub- or quotient module given by a basis is built by
   :func:`submodule` or :func:`quotient`, and every direct sum by
   :func:`direct_sum`.
-- A cache kept on a window holds the dimensions, actions and ``meta`` of
-  modules, never modules (``RepetitiveWindow.cached_modules``): a module
-  refers to its window, so a cached module would make a reference cycle
-  that only the cyclic garbage collector frees, window and caches with it.
-  Injective hulls are cached the same way, keyed by the data of the
+- What is derived from a window is kept in its one memo
+  (``RepetitiveWindow.derived``), which holds the dimensions, actions and
+  ``meta`` of modules, never modules (``RepetitiveWindow.cached_modules``):
+  a module refers to its window, so a kept module would make a reference
+  cycle that only the cyclic garbage collector frees, window and memo with
+  it.  Injective hulls are kept the same way, keyed by the data of the
   module they embed, with the embedding's blocks as plain matrices.
+- A window projective carries its socle basis position in
+  ``meta["socle"]``, certified when it is built; its readers take the
+  socle from there instead of computing it again.
 - Every decision is exact and deterministic; nothing is sampled.
   Isomorphism and summand tests search a Hom basis for an invertible
   element, which decides them when one side is indecomposable: its
@@ -475,13 +479,6 @@ def solve_morphisms(rhs: ModuleMorphism, terms: list):
             for (src, tgt), blocks in zip(sys.unknowns, sol)]
 
 
-@dataclass
-class SplitReport:
-    is_split_mono: bool
-    is_split_epi: bool
-    per_degree: dict  # z -> (component split mono, component split epi)
-
-
 def is_split_mono(h: ModuleMorphism) -> bool:
     """Whether g∘h = id for some morphism g (``h`` may be a slice)."""
     return solve_morphisms(identity_morphism(h.source), [("R", h)]) is not None
@@ -492,16 +489,16 @@ def is_split_epi(h: ModuleMorphism) -> bool:
     return solve_morphisms(identity_morphism(h.target), [("L", h)]) is not None
 
 
-def splitness(h: ModuleMorphism) -> SplitReport:
-    """Global and degreewise split mono / split epi decisions, each a
-    single exact solvability question."""
+def splitness(h: ModuleMorphism) -> dict:
+    """The degree profile ``{z: (split mono, split epi)}`` of the degree
+    components of ``h``, each a single exact solvability question."""
     degrees = sorted(set(h.source.support_degrees())
                      | set(h.target.support_degrees()))
-    per_degree = {}
+    profile = {}
     for z in degrees:
         hz = h.slice(z)
-        per_degree[z] = (is_split_mono(hz), is_split_epi(hz))
-    return SplitReport(is_split_mono(h), is_split_epi(h), per_degree)
+        profile[z] = (is_split_mono(hz), is_split_epi(hz))
+    return profile
 
 
 @dataclass
@@ -687,16 +684,15 @@ def _build_injective_hull(m: GradedModule) -> GradedModule:
     hull, incls, _projs = direct_sum(summands)
 
     # Prescribe where each socle column lands: on the socle basis path of
-    # the matching summand.
+    # the matching summand, certified when the summand was built.
     columns = {}
     for v, si in soc_targets:
-        ssoc, ssoc_incl = socle(summands[si])
-        sv = ssoc.sorted_support()[0]
-        if sv != v or ssoc.total_dim() != 1:
+        sv, index = summands[si].meta["socle"]
+        if sv != v:
             raise ModuleError("projective-injective summand has unexpected "
                               "socle at %s" % sv)
         columns.setdefault(sv, []).append(
-            linalg.mat_mul(fld, incls[si].block(sv), ssoc_incl.blocks[sv]))
+            [[row[index]] for row in incls[si].block(sv)])
     prescribed = {sv: linalg.hstack(cols) for sv, cols in columns.items()}
 
     # emb ∘ socle inclusion  =  prescribed embedding of the socle.

@@ -76,21 +76,19 @@ class RepetitiveWindow:
     vertex-degree map.  Built by :func:`build_repetitive_window`.
 
     A window is never changed after it is built, so what is derived from
-    it is computed once and kept on it: the enlarged windows
-    (:meth:`enlarged`) and, through :meth:`cached_modules`, the
-    projectives and the decomposition candidates
-    (``strings.decomposition_candidates``).  Modules are kept as payloads
-    (dimensions, action matrices, ``meta``), never as module objects, and
-    each lookup wraps them in fresh :class:`modules.GradedModule` objects.
-    ``modules.injective_hull`` keeps its hulls here too, keyed by the data
-    of the embedded module, with the embedding's blocks as plain matrices
-    in the hull's ``meta``.
-    A module refers to its window, so a cached module would close a
-    reference cycle (window, cache, module, window) and keep every window
-    alive, caches and all, until the cyclic garbage collector runs;
-    payloads leave the window free as soon as the last module on it goes.
-    For the same reason an enlarged window does not refer back to the
-    window it was enlarged from.
+    it is computed once and kept in its one memo, :meth:`derived`: the
+    enlarged windows (:meth:`enlarged`), the projective words
+    (``strings.projective_words``) and, through :meth:`cached_modules`, the
+    projectives, string modules, decomposition candidates and injective
+    hulls.  Modules are kept as payloads (dimensions, action matrices,
+    ``meta``), never as module objects, and each lookup wraps them in fresh
+    :class:`modules.GradedModule` objects; a hull keeps the embedding's
+    blocks as plain matrices in its ``meta``.
+    No memo value refers to this window or to a module: a module refers to
+    its window, so a kept module would close a reference cycle (window,
+    memo, module, window) and keep every window alive, memo and all, until
+    the cyclic garbage collector runs.  For the same reason an enlarged
+    window does not refer back to the window it was enlarged from.
     """
 
     def __init__(self, base: AlgebraPresentation, lo: int, hi: int):
@@ -108,8 +106,7 @@ class RepetitiveWindow:
             tag = p.arrows[0] if p.arrows else p.source
             self._conn_base[(p.source, p.arrows)] = "hat_%s" % tag
         self._build()
-        self._enlarged = {}        # k -> window
-        self._module_cache = {}    # (key, field) -> payloads
+        self._derived = {}
 
     # -- naming ----------------------------------------------------------
 
@@ -275,14 +272,19 @@ class RepetitiveWindow:
                          + self._lift(p.prefix(k), z + 1).arrows)
                 for p, k in self._realizations[v]]
 
+    def derived(self, key, build):
+        """What ``build()`` returns, computed once per ``key`` and kept on
+        this window; the value must not refer to this window or to a
+        module."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def enlarged(self, k: int = 2) -> "RepetitiveWindow":
         """The window with ``k`` more degrees on both sides; one per ``k``,
-        so its caches are shared by every caller."""
-        win = self._enlarged.get(k)
-        if win is None:
-            win = RepetitiveWindow(self.base, self.lo - k, self.hi + k)
-            self._enlarged[k] = win
-        return win
+        so its memo is shared by every caller."""
+        return self.derived(("enlarged", k), lambda: RepetitiveWindow(
+            self.base, self.lo - k, self.hi + k))
 
     def cached_modules(self, key, field, build) -> list:
         """The modules that ``build()`` returns, validated modules of this
@@ -290,57 +292,65 @@ class RepetitiveWindow:
         their payloads are kept (for an injective hull, its dimensions and
         actions and the embedding's blocks); every call returns fresh
         modules."""
-        payloads = self._module_cache.get((key, field))
-        if payloads is None:
-            payloads = [(m.dims, m.acts, m.meta) for m in build()]
-            self._module_cache[(key, field)] = payloads
+        payloads = self.derived((key, field), lambda: [
+            (m.dims, m.acts, m.meta) for m in build()])
         return [modules.GradedModule(self, field, *p) for p in payloads]
 
     def projective(self, v: str, z: int, field) -> "modules.GradedModule":
         """The indecomposable projective(-injective) at window vertex
-        ``(v, z)``; its basis is the set of nonzero paths out of that
-        vertex, so every window relation holds by construction.  It is at
-        the same time the injective hull of the simple at ``(v, z + 1)``."""
+        ``(v, z)``, built by :meth:`_build_projective` once per field.  It
+        is at the same time the injective hull of the simple at
+        ``(v, z + 1)``, its simple socle."""
         return self.cached_modules(
             ("projective", v, z), field,
             lambda: [self._build_projective(v, z, field)])[0]
 
     def _build_projective(self, v: str, z: int, field):
+        """The projective at ``(v, z)`` read off its socle paths.  Its basis
+        is the set of nonzero paths out of ``(v, z)``, the prefixes of the
+        socle paths, in ``(len, arrows)`` order; of two socle paths the
+        smaller by ``(len, arrows)`` is the basis path, the side the
+        window's binomial relation keeps, and the other is identified with
+        it.  So every window relation holds by construction.  ``meta``
+        holds the top ``(v, z)`` (``"projective"``), the basis paths
+        (``"basis"``) and the socle basis position ``(vertex, index)``
+        (``"socle"``), certified here to span the module's socle."""
         if not (self.lo <= z and z + 1 <= self.hi):
             raise WindowError("degree %d (and %d) must lie in the window"
                               % (z, z + 1))
-        pres = self.presentation
-        basis = [p for p in pres.path_basis()
-                 if p.source == self.vname(v, z)]
-        index_at = {}
+        quiver = self.presentation.quiver
+        paths = sorted(self.socle_paths(v, z),
+                       key=lambda p: (len(p), p.arrows))
+        kept = paths[0]
+        basis = sorted({p.prefix(k) for p in paths for k in range(len(p))}
+                       | {kept}, key=lambda p: (len(p), p.arrows))
         dims = {}
+        pos = {}           # basis path -> its index at its target
         for p in basis:
-            t = p.target(pres.quiver)
-            index_at.setdefault(t, []).append(p)
-        for t, plist in index_at.items():
-            dims[t] = len(plist)
-        pos = {(p.source, p.arrows): (p.target(pres.quiver),
-                                      index_at[p.target(pres.quiver)].index(p))
-               for p in basis}
-        acts = {}
-        for an, arr in pres.quiver.arrows.items():
-            sd = dims.get(arr.source, 0)
-            td = dims.get(arr.target, 0)
-            if sd == 0 or td == 0:
-                continue
-            mat = [[field.zero() for _ in range(sd)] for _ in range(td)]
-            for j, p in enumerate(index_at[arr.source]):
-                nf = pres.path_normal_form(
-                    PathWord(p.source, p.arrows + (an,)))
-                if nf.is_zero:
-                    continue
-                tv, i = pos[(nf.path.source, nf.path.arrows)]
-                mat[i][j] = field.of_int(nf.coeff)
-            acts[an] = mat
+            t = p.target(quiver)
+            pos[p] = dims.get(t, 0)
+            dims[t] = pos[p] + 1
+        acts = {an: linalg.zeros(field, dims[a.target], dims[a.source])
+                for an, a in quiver.arrows.items()
+                if a.source in dims and a.target in dims}
+        for p in paths:
+            for k, an in enumerate(p.arrows):
+                i = pos.get(p.prefix(k + 1), pos[kept])
+                acts[an][i][pos[p.prefix(k)]] = field.one()
+        sv, index = kept.target(quiver), pos[kept]
         mod = modules.GradedModule(self, field, dims, acts,
                                    meta={"projective": (v, z),
-                                         "basis": tuple(basis)})
-        return mod.validate()
+                                         "basis": tuple(basis),
+                                         "socle": (sv, index)})
+        mod.validate()
+        soc, soc_incl = modules.socle(mod)
+        unit = [[field.one() if i == index else field.zero()]
+                for i in range(dims[sv])]
+        if soc.dims != {sv: 1} or soc_incl.blocks[sv] != unit:
+            raise WindowError("the socle of the projective at %s is not "
+                              "spanned by its socle path"
+                              % self.vname(v, z))
+        return mod
 
     def all_projectives(self, field) -> list:
         return [self.projective(v, z, field)
@@ -405,19 +415,12 @@ def radical_of_projective(phat: "modules.GradedModule"):
 
 
 def quotient_by_socle(phat: "modules.GradedModule"):
-    """The quotient of a window projective by its simple socle, with the
-    natural projection."""
+    """The quotient of a window projective by its simple socle, the basis
+    position ``meta["socle"]`` certified when the projective was built,
+    with the natural projection."""
     _check_projective(phat)
-    soc, soc_incl = modules.socle(phat)
-    if soc.total_dim() != 1:
-        raise WindowError("projective socle is not simple")
-    socle_vertex = [v for v in soc.dims if soc.dims[v]][0]
-    column = [row[0] for row in soc_incl.blocks[socle_vertex]]
-    hot = [i for i, x in enumerate(column) if x]
-    if len(hot) != 1:
-        raise WindowError("socle is not spanned by a single basis path")
     quot, proj = modules.quotient(
-        phat, _unit_rows_except(phat, socle_vertex, hot[0]))
+        phat, _unit_rows_except(phat, *phat.meta["socle"]))
     quot.validate()
     proj.validate()
     return quot, proj

@@ -247,10 +247,9 @@ def classify_irreducible(h, universe_dim=None, certify=False) -> IrredClass:
     to lie in the radical square relative to the string-module universe up
     to ``universe_dim`` (default twice the larger endpoint dimension).
     """
-    rep = modules.splitness(h)
-    prof = rep.per_degree
+    prof = modules.splitness(h)
     if certify:
-        if rep.is_split_mono or rep.is_split_epi:
+        if modules.is_split_mono(h) or modules.is_split_epi(h):
             return IrredClass("not_irreducible", profile=prof,
                               reason="split")
         bound = universe_dim or 2 * max(h.source.total_dim(),

@@ -306,11 +306,15 @@ def decomposition_candidates(win, fieldobj, maxdim: int):
 def projective_words(win):
     """(uniserial words, biserial radical words): canonical encodings
     mapped to the base vertex and degree of the projective they describe,
-    read off the socle paths of each window vertex.  A projective with one
-    socle path is uniserial and is the string module of that direct walk.
-    The radical of a projective with two socle paths is the walk down the
-    first (by arrow names) after its first arrow and back up the second
-    to just below the top."""
+    read off the socle paths of each window vertex, once per window.  A
+    projective with one socle path is uniserial and is the string module
+    of that direct walk.  The radical of a projective with two socle paths
+    is the walk down the first (by arrow names) after its first arrow and
+    back up the second to just below the top."""
+    return win.derived("projective words", lambda: _projective_words(win))
+
+
+def _projective_words(win):
     uni = {}
     bis = {}
     quiver = win.presentation.quiver
@@ -446,7 +450,8 @@ def ar_sequence(win, w: StringWord, fieldobj):
     The middle is assembled from the two end surgeries (plus the whole
     projective when the input is the radical of a biserial projective,
     whose cover cannot be reached by word surgery); the end term is the
-    exact cokernel, certified isomorphic to the surgery-predicted word.
+    exact cokernel, certified isomorphic to a surgery-predicted word
+    (:class:`StringError` when it is none of them).
     ``meta["parts"]`` keeps, in the order of ``meta["components"]``, each
     middle summand with its inclusion into and projection from the middle.
     """
@@ -509,14 +514,14 @@ def ar_sequence(win, w: StringWord, fieldobj):
     kc = modules.kernel_cokernel(f)
     end_mod, g = kc.coker, kc.coker_proj
 
-    end_word = None
     for predicted in _predict_end(ctx, w):
         pred_mod = string_module(win, predicted, fieldobj)
         if modules.find_isomorphism(pred_mod, end_mod) is not None:
             end_word = canonical_word(predicted, ctx.quiver)
             break
-    if end_word is None:
-        end_word = _match_word(win, ctx, end_mod, fieldobj)
+    else:
+        raise StringError("the cokernel of the sequence starting at %s is "
+                          "none of its predicted end words" % w)
 
     proj_at = [info["projective_at"] for _, _, info in summands
                if info["projective_at"] is not None]
@@ -551,19 +556,6 @@ def _predict_end(ctx, w):
         if enc not in [canonical(r, ctx.quiver) for r in results]:
             results.append(StringWord.decode(enc))
     return results
-
-
-def _match_word(win, ctx, mod, fieldobj):
-    """Identify the word of a module known to be a string module, by
-    matching dimension vectors and certifying with an isomorphism."""
-    total = mod.total_dim()
-    for w in enumerate_strings(win, max(total - 1, 0), interior_only=False):
-        cand = string_module(win, w, fieldobj)
-        if sorted(cand.dims.items()) != sorted(mod.dims.items()):
-            continue
-        if modules.find_isomorphism(cand, mod) is not None:
-            return canonical_word(w, ctx.quiver)
-    raise StringError("cokernel is not a string module of this window")
 
 
 # -- component knitting -------------------------------------------------------

@@ -42,24 +42,24 @@ def test_hom_p_to_rad_matches_prime_field(a2, field):
 
 def test_splitness_identity(a2_win, field):
     P = a2_win.projective("1", 0, field)
-    rep = modules.splitness(modules.identity_morphism(P))
-    assert rep.is_split_mono and rep.is_split_epi
-    assert all(m and e for m, e in rep.per_degree.values())
+    ident = modules.identity_morphism(P)
+    assert modules.is_split_mono(ident) and modules.is_split_epi(ident)
+    assert all(m and e for m, e in modules.splitness(ident).values())
 
 
 def test_splitness_socle_inclusion(a2_win, field):
     P = a2_win.projective("1", 0, field)
     sr = modules.socle_radical(P)
-    rep = modules.splitness(sr.soc_incl)
-    assert not rep.is_split_mono and not rep.is_split_epi
+    assert not modules.is_split_mono(sr.soc_incl)
+    assert not modules.is_split_epi(sr.soc_incl)
 
 
 def test_splitness_summand_inclusion(a2_win, field):
     P = a2_win.projective("1", 0, field)
     s = simple(a2_win, field, "2", 2)
     total, incls, projs = modules.direct_sum([P, s])
-    assert modules.splitness(incls[0]).is_split_mono
-    assert modules.splitness(projs[1]).is_split_epi
+    assert modules.is_split_mono(incls[0])
+    assert modules.is_split_epi(projs[1])
 
 
 def test_kernel_cokernel_trivial_cases(a2_win, field):
@@ -154,8 +154,7 @@ def test_check_ses_split(a2_win, field):
     seq = modules.ShortExactSeq(incls[0], projs[1])
     rep = modules.check_ses(seq)
     assert rep.global_exact and rep.agree
-    assert all(mono for mono, _ in
-               modules.splitness(incls[0]).per_degree.values())
+    assert all(mono for mono, _ in modules.splitness(incls[0]).values())
 
 
 def test_check_ses_socle_sequence(a2_win, field):
@@ -165,7 +164,7 @@ def test_check_ses_socle_sequence(a2_win, field):
     seq = modules.ShortExactSeq(sr.soc_incl, kc.coker_proj)
     rep = modules.check_ses(seq)
     assert rep.global_exact and rep.agree
-    assert not modules.splitness(sr.soc_incl).is_split_mono
+    assert not modules.is_split_mono(sr.soc_incl)
 
 
 def test_degreewise_iff_global(a2_win, field):

@@ -7,6 +7,11 @@ Regenerate it (only when a change of the words is intended) with
 
     PYTHONPATH=src python tests/test_projectives.py
 
+The projective tests compare each window projective with a reference
+construction from the window's path basis and the normal form of every
+basis path times every arrow, and check that building projectives,
+sequences and triangles takes no normal form of a window path.
+
 The summand tests name the projective summand of each middle term by an
 explicit isomorphism search over every window projective and compare the
 result with :func:`stable.ar_triangle_from_sequence`, which reads the
@@ -20,8 +25,12 @@ import pytest
 
 from repstable import modules, stable, strings
 from repstable.fields import PrimeField, QQ
-from repstable.presentation import PathWord, parse_presentation
-from repstable.repetitive import build_repetitive_window
+from repstable.presentation import (
+    AlgebraPresentation,
+    PathWord,
+    parse_presentation,
+)
+from repstable.repetitive import build_repetitive_window, quotient_by_socle
 from repstable.strings import StringWord
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -115,6 +124,76 @@ def test_socle_paths_are_maximal(case):
                 for a in pres.quiver.arrows_out(p.target(pres.quiver)):
                     assert not pres.is_nonzero(
                         PathWord(p.source, p.arrows + (a.name,)))
+
+
+# -- projectives built from their socle paths --------------------------------
+
+def _reference_projective(win, v, z, fld):
+    """(basis, dims, acts) of the projective at ``(v, z)``: its basis the
+    window's basis paths out of ``(v, z)``, and the action of an arrow on a
+    basis path the normal form of the path followed by the arrow."""
+    pres = win.presentation
+    quiver = pres.quiver
+    basis = [p for p in pres.path_basis() if p.source == win.vname(v, z)]
+    at = {}
+    for p in basis:
+        at.setdefault(p.target(quiver), []).append(p)
+    dims = {t: len(paths) for t, paths in at.items()}
+    acts = {}
+    for an, arr in quiver.arrows.items():
+        if arr.source not in dims or arr.target not in dims:
+            continue
+        mat = [[fld.zero()] * dims[arr.source]
+               for _ in range(dims[arr.target])]
+        for j, p in enumerate(at[arr.source]):
+            nf = pres.path_normal_form(PathWord(p.source, p.arrows + (an,)))
+            if not nf.is_zero:
+                mat[at[arr.target].index(nf.path)][j] = fld.of_int(nf.coeff)
+        acts[an] = mat
+    return basis, dims, acts
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_projectives_match_the_path_basis_construction(case):
+    for lo, hi in WINDOWS[:2]:
+        win = build_repetitive_window(_presentation(case), lo, hi)
+        for fld in (QQ, PrimeField(2)):
+            for z in range(lo, hi):
+                for v in sorted(win.base.quiver.vertices):
+                    phat = win.projective(v, z, fld)
+                    basis, dims, acts = _reference_projective(win, v, z, fld)
+                    assert list(phat.meta["basis"]) == basis
+                    assert phat.dims == dims and phat.acts == acts
+                    soc, soc_incl = modules.socle(phat)
+                    sv, index = phat.meta["socle"]
+                    assert soc.dims == {sv: 1}
+                    assert soc_incl.blocks[sv] == [
+                        [fld.one() if i == index else fld.zero()]
+                        for i in range(phat.dim(sv))]
+
+
+def test_no_window_normal_forms_at_run_time(monkeypatch):
+    # Only the base presentation is ever reduced: window projectives are
+    # read off their socle paths.
+    base = _presentation("ex4")
+    reduced = []
+    normal_form = AlgebraPresentation.path_normal_form
+
+    def recorded(pres, p):
+        if pres is not base:
+            reduced.append(p)
+        return normal_form(pres, p)
+
+    monkeypatch.setattr(AlgebraPresentation, "path_normal_form", recorded)
+    win = build_repetitive_window(base, -1, 2)
+    win.all_projectives(QQ)
+    _, bis = strings.projective_words(win)
+    seq, win2 = strings.ar_sequence(win, StringWord.decode(sorted(bis)[0]), QQ)
+    assert seq.meta["projective"] is not None
+    stable.triangle_from_ses(seq)
+    quotient_by_socle(win2.projective(*seq.meta["projective"], QQ))
+    assert reduced == []
+    assert strings.projective_words(win) is strings.projective_words(win)
 
 
 # -- naming the projective summand of a middle term ----------------------------

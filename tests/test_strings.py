@@ -128,6 +128,16 @@ def test_ar_sequence_rejects_projectives(a2_win, field):
         strings.ar_sequence(a2_win, w, field)
 
 
+def test_ar_sequence_rejects_an_unpredicted_cokernel(a3, field,
+                                                    monkeypatch):
+    # With the start word as the only prediction, no predicted end word is
+    # isomorphic to the cokernel, and nothing else is searched.
+    monkeypatch.setattr(strings, "_predict_end", lambda ctx, w: [w])
+    win = build_repetitive_window(a3, 0, 3)
+    with pytest.raises(strings.StringError, match="2@1"):
+        strings.ar_sequence(win, StringWord("2@1", ()), field)
+
+
 def test_ar_sequence_projective_middle_shape(a2_win, field):
     # The sequence starting at the radical of a projective keeps that
     # projective as a middle summand and ends at its socle quotient.
@@ -135,7 +145,7 @@ def test_ar_sequence_projective_middle_shape(a2_win, field):
     seq, win = strings.ar_sequence(a2_win, w, field)
     assert seq.meta["projective"] is not None
     assert modules.check_ses(seq).global_exact
-    assert not modules.splitness(seq.f).is_split_mono
+    assert not modules.is_split_mono(seq.f)
 
 
 def test_ar_sequence_never_splits(ex4_win, field):
@@ -145,8 +155,8 @@ def test_ar_sequence_never_splits(ex4_win, field):
             seq, _ = strings.ar_sequence(ex4_win, w, field)
         except strings.ArInjectiveError:
             continue
-        assert not modules.splitness(seq.f).is_split_mono
-        assert not modules.splitness(seq.g).is_split_epi
+        assert not modules.is_split_mono(seq.f)
+        assert not modules.is_split_epi(seq.g)
         done += 1
         if done >= 6:
             break
