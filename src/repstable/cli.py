@@ -337,6 +337,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.window[0] + 2 > args.window[1]:
             raise CliError("window must span at least 3 degrees")
+        if args.max_len < 0:
+            raise CliError("--max-len must be at least 0, got %d"
+                           % args.max_len)
+        if args.universe_dim < 1:
+            raise CliError("--universe-dim must be at least 1, got %d"
+                           % args.universe_dim)
         try:
             get_field(args.char)
         except ValueError:

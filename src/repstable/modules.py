@@ -781,6 +781,12 @@ def find_isomorphism(a: RepView, b: RepView):
     basis = hom_basis(a, b)
     if not basis:
         return None if a.total_dim() else identity_morphism(a)
+    return _invertible_element(a, basis)
+
+
+def _invertible_element(a: RepView, basis: list):
+    """The first element of ``basis`` (morphisms out of ``a``) that is
+    invertible at every vertex, or None."""
     for h in basis:
         if all(linalg.is_invertible(a.field, h.block(v)) for v in a.dims):
             return h
@@ -830,7 +836,7 @@ def radical_hom(a: RepView, b: RepView):
         return []
     if sorted(a.dims.items()) != sorted(b.dims.items()):
         return basis
-    iso = find_isomorphism(a, b)
+    iso = _invertible_element(a, basis)
     if iso is None:
         return basis
     inv_blocks = {v: linalg.inverse(a.field, iso.block(v)) for v in a.dims}

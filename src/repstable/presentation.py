@@ -110,12 +110,10 @@ class RelationGen:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Either zero, or a scalar multiple of a reduced basis path.  On the
-    supported input class the coefficient is always 1."""
+    """Either zero, or a reduced basis path."""
 
     is_zero: bool
     path: Optional[PathWord] = None
-    coeff: int = 1
 
 
 class AlgebraPresentation:

@@ -280,11 +280,11 @@ class RepetitiveWindow:
             self._derived[key] = build()
         return self._derived[key]
 
-    def enlarged(self, k: int = 2) -> "RepetitiveWindow":
-        """The window with ``k`` more degrees on both sides; one per ``k``,
+    def enlarged(self) -> "RepetitiveWindow":
+        """The window with two more degrees on both sides; one per window,
         so its memo is shared by every caller."""
-        return self.derived(("enlarged", k), lambda: RepetitiveWindow(
-            self.base, self.lo - k, self.hi + k))
+        return self.derived("enlarged", lambda: RepetitiveWindow(
+            self.base, self.lo - 2, self.hi + 2))
 
     def cached_modules(self, key, field, build) -> list:
         """The modules that ``build()`` returns, validated modules of this

@@ -41,7 +41,7 @@ def ensure_module_margin(m):
             if win is m.win:
                 return m
             return modules.reembed(m, win)
-        win = win.enlarged(2)
+        win = win.enlarged()
     raise modules.ModuleError("window enlargement cap reached")
 
 

@@ -1,9 +1,16 @@
 """String combinatorics for the special biserial repetitive window.
 
 Words are finite alternating walks of direct and inverse arrow letters,
-written in application order.  A word is valid when consecutive letters
-compose as a reduced walk and no contiguous direct run (or reversed
-inverse run) contains a vanishing path or a socle-identified path.
+written in application order.  Validity has one rule, one letter at a
+time: a trivial word at a window vertex is valid, and a valid word
+extended by one letter stays valid exactly when the letter starts where
+the word ends, does not undo the letter before it (no ``(a, s)`` straight
+after ``(a, -s)``), and the run of same-sign letters through it (read as
+a path, so an inverse run reversed) stays shorter than the nilpotency
+bound and contains no vanishing or socle-identified path through the new
+letter.  Every word the module makes grows by that step
+(:meth:`StringContext.extend`); words from outside are checked by folding
+it over their letters (:meth:`StringContext.is_valid`).
 
 Almost split sequences are produced by a fixed one-sided surgery
 convention: at an end where the walk can grow, append one inverse letter
@@ -56,7 +63,11 @@ class StringWord:
         return verts
 
     def end(self, quiver) -> str:
-        return self.positions(quiver)[-1]
+        if not self.letters:
+            return self.source
+        name, sign = self.letters[-1]
+        arr = quiver.arrows[name]
+        return arr.target if sign > 0 else arr.source
 
     def inverse(self, quiver) -> "StringWord":
         return StringWord(self.end(quiver),
@@ -87,63 +98,61 @@ def canonical_word(w: StringWord, quiver) -> StringWord:
 
 class StringContext:
     """Validity data shared by all word operations on a window: its
-    presentation's quiver and the forbidden direct subwords (vanishing
-    paths and both sides of every socle identification)."""
+    presentation's quiver, the forbidden direct subwords (vanishing paths
+    and both sides of every socle identification) and ``letters_at[v]``,
+    the letters that can follow a walk ending at ``v`` (arrows by name,
+    direct before inverse).  A word is valid when it grows from its
+    trivial word by :meth:`extend` steps, which check only what the new
+    letter can break: walk continuity, the reduced junction, and the
+    nilpotency bound and forbidden subwords of the run through it."""
 
     def __init__(self, pres):
         self.pres = pres
         self.quiver = pres.quiver
         self.forbidden = pres.forbidden_subwords
         self._maxforb = max(map(len, self.forbidden), default=0)
+        self.letters_at = {v: [] for v in self.quiver.vertices}
+        for arr in self.quiver.sorted_arrows():
+            self.letters_at[arr.source].append((arr.name, 1))
+            self.letters_at[arr.target].append((arr.name, -1))
 
-    def run_ok(self, names: tuple) -> bool:
-        if len(names) >= self.pres.nilpotency:
-            return False
-        for k in range(2, min(len(names), self._maxforb) + 1):
-            for i in range(len(names) - k + 1):
-                if names[i:i + k] in self.forbidden:
-                    return False
-        return True
-
-    def pair_ok(self, l1, l2) -> bool:
-        (a, sa), (b, sb) = l1, l2
-        arra, arrb = self.quiver.arrows[a], self.quiver.arrows[b]
-        enda = arra.target if sa > 0 else arra.source
-        startb = arrb.source if sb > 0 else arrb.target
-        if enda != startb:
-            return False
-        if sa != sb:
-            return a != b          # peak or valley
-        return True                # run composability checked via run_ok
+    def extend(self, w: StringWord, name: str, sign: int):
+        """The valid word ``w`` followed by the letter ``(name, sign)``, or
+        None when that is not a valid word."""
+        arr = self.quiver.arrows[name]
+        if (arr.source if sign > 0 else arr.target) != w.end(self.quiver):
+            return None
+        letters = w.letters
+        if letters and letters[-1] == (name, -sign):
+            return None
+        run = [name]           # the run through the new letter, newest first
+        for prev, s in reversed(letters):
+            if s != sign or len(run) >= self.pres.nilpotency:
+                break
+            run.append(prev)
+        if len(run) >= self.pres.nilpotency:
+            return None
+        if sign > 0:
+            run.reverse()      # as a path, ending at the new letter
+        for k in range(2, min(len(run), self._maxforb) + 1):
+            sub = run[-k:] if sign > 0 else run[:k]
+            if tuple(sub) in self.forbidden:
+                return None
+        return StringWord(w.source, letters + ((name, sign),))
 
     def is_valid(self, w: StringWord) -> bool:
+        """Whether a word from outside is valid: its vertex and arrows are
+        in the window and it grows letter by letter through
+        :meth:`extend`."""
         if w.source not in self.quiver.vertices:
             return False
-        at = w.source
+        cur = StringWord(w.source, ())
         for name, sign in w.letters:
             if name not in self.quiver.arrows:
                 return False
-            arr = self.quiver.arrows[name]
-            start = arr.source if sign > 0 else arr.target
-            if start != at:
+            cur = self.extend(cur, name, sign)
+            if cur is None:
                 return False
-            at = arr.target if sign > 0 else arr.source
-        for l1, l2 in zip(w.letters, w.letters[1:]):
-            if not self.pair_ok(l1, l2):
-                return False
-        # maximal runs
-        i = 0
-        n = len(w.letters)
-        while i < n:
-            j = i
-            while j < n and w.letters[j][1] == w.letters[i][1]:
-                j += 1
-            names = tuple(x[0] for x in w.letters[i:j])
-            if w.letters[i][1] < 0:
-                names = tuple(reversed(names))
-            if not self.run_ok(names):
-                return False
-            i = j
         return True
 
     def is_band(self, w: StringWord) -> bool:
@@ -160,7 +169,9 @@ class StringContext:
 
 
 def window_context(win) -> StringContext:
-    return StringContext(win.presentation)
+    """The string context of the window, built once per window."""
+    return win.derived("string context",
+                       lambda: StringContext(win.presentation))
 
 
 # -- string modules ---------------------------------------------------------
@@ -260,27 +271,20 @@ def enumerate_strings(win, max_len: int, interior_only=True,
             # Extend at the right end of both orientations so every class
             # of the next length is reached.
             for base in (w, w.inverse(quiver)) if w.letters else (w,):
-                x = base.end(quiver)
-                for arr in win.table.arrows:
-                    for sign in (1, -1):
-                        start = arr.source if sign > 0 else arr.target
-                        lands = arr.target if sign > 0 else arr.source
-                        if start != x or not vertex_ok(lands):
-                            continue
-                        w2 = StringWord(base.source,
-                                        base.letters + ((arr.name, sign),))
-                        if not ctx.is_valid(w2):
-                            continue
-                        key = canonical(w2, quiver)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        if ctx.is_band(w2):
-                            bands.append(w2)
-                            continue
-                        w2c = canonical_word(w2, quiver)
-                        words.append(w2c)
-                        nxt.append(w2c)
+                for name, sign in ctx.letters_at[base.end(quiver)]:
+                    w2 = ctx.extend(base, name, sign)
+                    if w2 is None or not vertex_ok(w2.end(quiver)):
+                        continue
+                    key = canonical(w2, quiver)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if ctx.is_band(w2):
+                        bands.append(w2)
+                        continue
+                    w2c = StringWord.decode(key)
+                    words.append(w2c)
+                    nxt.append(w2c)
         current = nxt
     words.sort(key=lambda w: (len(w), w.encode()))
     if with_bands:
@@ -345,32 +349,22 @@ class Surgery:
 
 
 def _hook_candidates(ctx, w: StringWord):
-    quiver = ctx.quiver
-    x = w.end(quiver)
-    out = []
-    for b in sorted(quiver.arrows_in(x), key=lambda a: a.name):
-        w2 = StringWord(w.source, w.letters + ((b.name, -1),))
-        if not ctx.is_valid(w2):
-            continue
-        out.append(b.name)
-    return out
+    return [name for name, sign in ctx.letters_at[w.end(ctx.quiver)]
+            if sign < 0 and ctx.extend(w, name, sign) is not None]
 
 
 def _extend_hook(ctx, w: StringWord, b: str) -> StringWord:
-    quiver = ctx.quiver
-    cur = StringWord(w.source, w.letters + ((b, -1),))
+    cur = ctx.extend(w, b, -1)
     while True:
-        at = cur.end(quiver)
-        nxt = None
-        for d in sorted(quiver.arrows_out(at), key=lambda a: a.name):
-            w2 = StringWord(cur.source, cur.letters + ((d.name, 1),))
-            if ctx.is_valid(w2):
-                if nxt is not None:
-                    raise StringError("direct run is not unique after hook")
-                nxt = w2
-        if nxt is None:
+        grown = (ctx.extend(cur, name, sign)
+                 for name, sign in ctx.letters_at[cur.end(ctx.quiver)]
+                 if sign > 0)
+        nxt = [w2 for w2 in grown if w2 is not None]
+        if len(nxt) > 1:
+            raise StringError("direct run is not unique after hook")
+        if not nxt:
             return cur
-        cur = nxt
+        cur = nxt[0]
 
 
 def surgery_right(ctx, w: StringWord, forbid_hooks=frozenset()):
@@ -409,14 +403,6 @@ def surgery_left(ctx, w: StringWord, forbid_hooks=frozenset()):
     return Surgery(s.kind, flipped, pos_map)
 
 
-def _hook_arrow_used(w: StringWord, s: Surgery, left: bool):
-    if s.kind != "hook":
-        return None
-    if left:
-        return s.word.letters[len(s.word) - len(w) - 1][0]
-    return s.word.letters[len(w)][0]
-
-
 # -- almost split sequences ---------------------------------------------------
 
 def _needs_margin(ctx, w: StringWord, win) -> bool:
@@ -426,21 +412,16 @@ def _needs_margin(ctx, w: StringWord, win) -> bool:
     return min(degs) <= win.lo + 1 or max(degs) >= win.hi - 1
 
 
-def ensure_margin(win, words):
-    """A window on which every listed word keeps more than two free
-    degrees on both sides, enlarging in steps of two."""
+def ensure_margin(win, w: StringWord):
+    """A window on which the valid word ``w`` keeps more than two free
+    degrees on both sides, enlarging in steps of two (an enlarged window
+    keeps a valid word valid)."""
     cur = win
     for _ in range(12):
-        degs = set()
-        for w in words:
-            ctx = window_context(cur)
-            if not ctx.is_valid(StringWord(w.source, w.letters)):
-                break
-            for v in w.positions(ctx.quiver):
-                degs.add(cur.degree(v))
-        if degs and min(degs) - cur.lo > 2 and cur.hi - max(degs) > 2:
+        degs = {cur.degree(v) for v in w.positions(cur.presentation.quiver)}
+        if min(degs) - cur.lo > 2 and cur.hi - max(degs) > 2:
             return cur
-        cur = cur.enlarged(2)
+        cur = cur.enlarged()
     raise EnlargementError("window enlargement cap reached")
 
 
@@ -459,7 +440,7 @@ def ar_sequence(win, w: StringWord, fieldobj):
     if not ctx.is_valid(w):
         raise StringError("invalid string word %s" % w)
     if _needs_margin(ctx, w, win):
-        win = ensure_margin(win, [w])
+        win = ensure_margin(win, w)
         ctx = window_context(win)
     uni, bis = projective_words(win)
     canon = canonical(w, ctx.quiver)
@@ -473,8 +454,9 @@ def ar_sequence(win, w: StringWord, fieldobj):
     biserial_at = bis.get(canon)
 
     right = surgery_right(ctx, w)
-    used = _hook_arrow_used(w, right, left=False) if right else None
-    forbid = frozenset([used]) if (used and not w.letters) else frozenset()
+    forbid = frozenset()
+    if right is not None and right.kind == "hook" and not w.letters:
+        forbid = frozenset([right.word.letters[0][0]])
     left = surgery_left(ctx, w, forbid_hooks=forbid)
 
     summands = []      # (module, map M -> summand, info dict)

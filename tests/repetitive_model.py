@@ -52,13 +52,14 @@ def identity_at(base: AlgebraPresentation, z: int) -> RepetitiveElement:
 
 
 def _mul_paths(base, p: PathWord, q: PathWord):
-    """Function-order product of basis paths: q happens first, then p."""
+    """Function-order product of basis paths (q happens first, then p):
+    a basis path, or None when it vanishes."""
     if q.target(base.quiver) != p.source:
         return None
     nf = base.path_normal_form(PathWord(q.source, q.arrows + p.arrows))
     if nf.is_zero:
         return None
-    return nf.path, nf.coeff
+    return nf.path
 
 
 def _strip_prefix(base, dual_key: PathWord, q: PathWord):
@@ -102,7 +103,7 @@ def repetitive_product(x: RepetitiveElement, y: RepetitiveElement) -> Repetitive
             if k1 == "alg" and k2 == "alg" and z1 == z2:
                 r = _mul_paths(base, p1, p2)
                 if r is not None:
-                    out.append((z1, "alg", r[0], c1 * c2 * r[1]))
+                    out.append((z1, "alg", r, c1 * c2))
             elif k1 == "alg" and k2 == "dual" and z1 == z2 + 1:
                 r = _strip_prefix(base, p2, p1)
                 if r is not None:

@@ -139,6 +139,19 @@ def test_non_prime_characteristic_exit_two(tmp_path, capsys):
     _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("args", [
+    ["strings", "--max-len", "-1"],
+    ["ar", "--seed", "a@1", "--universe-dim", "-3"],
+    ["ar", "--seed", "a@1", "--universe-dim", "0"],
+], ids=["max-len", "universe-dim-negative", "universe-dim-zero"])
+def test_bounds_below_their_minimum_exit_two(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([args[0], write_a2(tmp_path), "--window", "0", "3",
+                 "--out", str(out)] + args[1:]) == 2
+    _single_error_line(capsys)
+    assert not out.exists()
+
+
 def _package_exceptions():
     found = []
     for info in pkgutil.iter_modules(repstable.__path__):

@@ -237,6 +237,22 @@ def test_non_isomorphism_is_exact(fld):
             [modules.morphism_to_text(h) for h in hom]
 
 
+def test_radical_hom_asks_for_the_hom_basis_once(ex4_win, field,
+                                                 monkeypatch):
+    m = strings.string_module(
+        ex4_win, strings.StringWord("1@0", (("theta@0", -1),
+                                            ("hat_alpha@0", 1))), field)
+    expected = [modules.morphism_to_text(h)
+                for h in modules.radical_hom(m, m)]
+    calls = []
+    hom_basis = modules.hom_basis
+    monkeypatch.setattr(modules, "hom_basis",
+                        lambda a, b: calls.append(1) or hom_basis(a, b))
+    rad = modules.radical_hom(m, m)
+    assert len(calls) == 1
+    assert [modules.morphism_to_text(h) for h in rad] == expected
+
+
 def _package_trees():
     """(file name, syntax tree) of every module of the package."""
     src = os.path.join(os.path.dirname(__file__), "..", "src", "repstable")

@@ -148,7 +148,7 @@ def _reference_projective(win, v, z, fld):
         for j, p in enumerate(at[arr.source]):
             nf = pres.path_normal_form(PathWord(p.source, p.arrows + (an,)))
             if not nf.is_zero:
-                mat[at[arr.target].index(nf.path)][j] = fld.of_int(nf.coeff)
+                mat[at[arr.target].index(nf.path)][j] = fld.one()
         acts[an] = mat
     return basis, dims, acts
 

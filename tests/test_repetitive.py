@@ -320,6 +320,6 @@ def test_window_multiplies_like_the_model(request, name):
                 assert product.is_zero(), (str(first), str(then))
             else:
                 (z, kind, key, c), = image[nf.path].parts
-                assert product.parts == ((z, kind, key, c * nf.coeff),), (
+                assert product.parts == ((z, kind, key, c),), (
                     str(first), str(then))
     assert pairs > len(basis)

@@ -8,6 +8,9 @@ from repstable.repetitive import (
 )
 from repstable import modules, stable, strings
 from repstable.strings import StringWord
+from test_projectives import CASES, _presentation
+
+KRONECKER = "vertices 1 2\narrow a : 1 -> 2\narrow b : 1 -> 2\n"
 
 
 def test_trivial_words_per_interior_vertex(a2_win):
@@ -111,8 +114,7 @@ def _span_rank(m, morphisms):
 
 
 def test_band_words_skipped():
-    kron = parse_presentation(
-        "vertices 1 2\narrow a : 1 -> 2\narrow b : 1 -> 2\n")
+    kron = parse_presentation(KRONECKER)
     win = build_repetitive_window(kron, 0, 3)
     words, bands = strings.enumerate_strings(win, 2, with_bands=True)
     assert bands, "expected a cyclic word in the doubled-arrow window"
@@ -120,6 +122,103 @@ def test_band_words_skipped():
     enc = {strings.canonical(w, ctx.quiver) for w in words}
     for b in bands:
         assert strings.canonical(b, ctx.quiver) not in enc
+
+
+def _whole_word_valid(ctx, w):
+    """The whole-word validity rule that one-letter extension replaced:
+    continuity, then every adjacent pair, then every maximal run."""
+    quiver, pres = ctx.quiver, ctx.pres
+    maxforb = max(map(len, pres.forbidden_subwords), default=0)
+
+    def run_ok(names):
+        if len(names) >= pres.nilpotency:
+            return False
+        for k in range(2, min(len(names), maxforb) + 1):
+            for i in range(len(names) - k + 1):
+                if names[i:i + k] in pres.forbidden_subwords:
+                    return False
+        return True
+
+    def pair_ok(l1, l2):
+        (a, sa), (b, sb) = l1, l2
+        arra, arrb = quiver.arrows[a], quiver.arrows[b]
+        enda = arra.target if sa > 0 else arra.source
+        startb = arrb.source if sb > 0 else arrb.target
+        if enda != startb:
+            return False
+        if sa != sb:
+            return a != b
+        return True
+
+    if w.source not in quiver.vertices:
+        return False
+    at = w.source
+    for name, sign in w.letters:
+        if name not in quiver.arrows:
+            return False
+        arr = quiver.arrows[name]
+        if (arr.source if sign > 0 else arr.target) != at:
+            return False
+        at = arr.target if sign > 0 else arr.source
+    for l1, l2 in zip(w.letters, w.letters[1:]):
+        if not pair_ok(l1, l2):
+            return False
+    i = 0
+    n = len(w.letters)
+    while i < n:
+        j = i
+        while j < n and w.letters[j][1] == w.letters[i][1]:
+            j += 1
+        names = tuple(x[0] for x in w.letters[i:j])
+        if w.letters[i][1] < 0:
+            names = tuple(reversed(names))
+        if not run_ok(names):
+            return False
+        i = j
+    return True
+
+
+def _test_windows():
+    texts = [_presentation(c) for c in CASES]
+    texts.append(parse_presentation(KRONECKER))
+    return [build_repetitive_window(p, 0, 3) for p in texts]
+
+
+def test_one_letter_rule_equals_the_whole_word_rule():
+    # Every one-letter extension (any arrow, either sign) of every valid
+    # word, up to five letters.
+    checked = 0
+    for win in _test_windows():
+        ctx = strings.window_context(win)
+        letters = [(a, s) for a in sorted(ctx.quiver.arrows) for s in (1, -1)]
+        current = [StringWord(v, ()) for v in sorted(ctx.quiver.vertices)]
+        for _ in range(5):
+            nxt = []
+            for w in current:
+                for letter in letters:
+                    w2 = StringWord(w.source, w.letters + (letter,))
+                    valid = _whole_word_valid(ctx, w2)
+                    assert ctx.is_valid(w2) == valid, str(w2)
+                    checked += 1
+                    if valid:
+                        nxt.append(w2)
+            current = nxt
+    assert checked == 37180
+
+
+def test_is_valid_rejects_unknown_vertices_and_arrows(a2_win):
+    ctx = strings.window_context(a2_win)
+    assert ctx.is_valid(StringWord("1@1", (("a@1", 1),)))
+    assert not ctx.is_valid(StringWord("9@1", ()))
+    assert not ctx.is_valid(StringWord("1@1", (("z@1", 1),)))
+    assert not ctx.is_valid(StringWord("1@1", (("a@1", 1), ("z@1", 1))))
+
+
+def test_words_stay_valid_on_the_enlarged_window():
+    for win in _test_windows():
+        ctx = strings.window_context(win.enlarged())
+        for w in strings.enumerate_strings(win, 4, interior_only=False):
+            assert ctx.is_valid(w), str(w)
 
 
 def test_ar_sequence_rejects_projectives(a2_win, field):

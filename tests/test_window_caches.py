@@ -56,7 +56,7 @@ def test_window_is_freed_without_the_cycle_collector(a2, field, hull_builds):
         win.all_projectives(field)
         strings.string_module(win, StringWord("1@1", (("a@1", 1),)), field)
         strings.decomposition_candidates(win, field, 3)
-        child = win.enlarged(2)
+        child = win.enlarged()
         seq, win2 = strings.ar_sequence(win, StringWord("1@1", ()), field)
         # The second check finds every hull in the window's cache.
         builds = []
@@ -97,7 +97,7 @@ def test_string_modules_are_fresh_modules_of_equal_data(a3, field,
     assert [repr(m.field) for m in mods[3:]] == ["GF(101)"] * 3
     # One build per window, word and field: the repeated word is looked up.
     assert len(string_builds) == len(set(string_builds)) == 4
-    strings.string_module(win.enlarged(2), words[1], field)
+    strings.string_module(win.enlarged(), words[1], field)
     assert len(string_builds) == 5
 
 
@@ -117,10 +117,9 @@ def test_candidates_depend_on_field_and_bound(a2_win, field):
 
 def test_enlarged_window_is_shared(a2):
     win = build_repetitive_window(a2, 0, 3)
-    assert win.enlarged(2) is win.enlarged(2)
-    assert win.enlarged(2).enlarged(2) is win.enlarged(2).enlarged(2)
-    assert (win.enlarged(2).lo, win.enlarged(2).hi) == (-2, 5)
-    assert win.enlarged(4) is not win.enlarged(2)
+    assert win.enlarged() is win.enlarged()
+    assert win.enlarged().enlarged() is win.enlarged().enlarged()
+    assert (win.enlarged().lo, win.enlarged().hi) == (-2, 5)
 
 
 def test_hom_basis_on_disjoint_supports_is_empty(a2_win, field):
