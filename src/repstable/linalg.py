@@ -95,20 +95,27 @@ def transpose(field, a):
     return [[a[i][j] for i in range(r)] for j in range(c)]
 
 
-def _subtract(dst: dict, f, src: dict, skip: int):
+def _subtract(dst: dict, f, src: dict, skip: int, fills=None):
     """``dst -= f * src`` over the nonzeros of ``src`` other than column
-    ``skip``, dropping the entries that cancel."""
+    ``skip``, dropping the entries that cancel.  The columns where ``dst``
+    gains an entry are appended to ``fills`` when it is given."""
     for k, y in src.items():
         if k != skip:
             x = dst.get(k)
             if x is None:
                 dst[k] = -f * y
+                if fills is not None:
+                    fills.append(k)
             else:
                 x = x - f * y
                 if x:
                     dst[k] = x
                 else:
                     del dst[k]
+
+
+# Systems with more rows than this index their pivot rows by column.
+_INDEX_ROWS = 32
 
 
 def _eliminate(field, rows):
@@ -119,9 +126,15 @@ def _eliminate(field, rows):
     touches, over their nonzeros only.  What is left, if anything, becomes
     a pivot row at its first column, is scaled to a leading one and is
     eliminated out of the earlier pivot rows, so every pivot row stays
-    zero in every other pivot column and starts at its own."""
+    zero in every other pivot column and starts at its own.
+
+    A small system scans every earlier pivot row for the new pivot
+    column.  A large one keeps ``holders``, from each non-pivot column to
+    the pivot rows that may hold it (a cancelled entry leaves its row
+    listed), and visits only those rows."""
     one = field.one()
     pivots = {}
+    holders = {} if len(rows) > _INDEX_ROWS else None
     for src in rows:
         row = dict(src)
         for c in [c for c in row if c in pivots]:
@@ -133,10 +146,23 @@ def _eliminate(field, rows):
         if lead != one:
             inv = field.div(one, lead)
             row = {k: x * inv for k, x in row.items()}
-        for prow in pivots.values():
-            f = prow.pop(c, None)
-            if f is not None:
-                _subtract(prow, f, row, c)
+        if holders is None:
+            for prow in pivots.values():
+                f = prow.pop(c, None)
+                if f is not None:
+                    _subtract(prow, f, row, c)
+        else:
+            for k in row:
+                if k != c:
+                    holders.setdefault(k, []).append(c)
+            for pc in holders.pop(c, ()):
+                prow = pivots[pc]
+                f = prow.pop(c, None)
+                if f is not None:
+                    fills = []
+                    _subtract(prow, f, row, c, fills)
+                    for k in fills:
+                        holders[k].append(pc)
         pivots[c] = row
     return sorted(pivots.items())
 

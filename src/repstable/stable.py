@@ -206,35 +206,89 @@ class IrredClass:
         return self.kind
 
 
-def rad_square_membership(h, universe):
-    """Whether h lies in the span of composites of non-invertible maps
-    through the listed indecomposable modules."""
+def _in_span(h, maps) -> bool:
+    """Whether ``h`` is a linear combination of ``maps``, morphisms with
+    the source and target of ``h``: one exact solve on the blocks laid
+    out as vectors."""
     m, n = h.source, h.target
-    fld = m.field
-    layout = []
-    for v in sorted(set(m.dims) & set(n.dims)):
-        layout.append((v, n.dim(v), m.dim(v)))
+    layout = [(v, n.dim(v)) for v in sorted(set(m.dims) & set(n.dims))]
 
     def flatten(mor):
         vec = []
-        for v, r, c in layout:
+        for v, r in layout:
             blk = mor.block(v)
             for i in range(r):
                 vec.extend(blk[i])
         return vec
 
-    span = []
-    for x in universe:
-        ins = modules.radical_hom(m, x)
-        outs = modules.radical_hom(x, n)
-        for a in ins:
-            for b in outs:
-                span.append(flatten(modules.compose(b, a)))
-    if not span:
+    if not maps:
         return h.is_zero()
+    span = [flatten(x) for x in maps]
     cols = [[row[i] for row in span] for i in range(len(span[0]))]
     target = [[x] for x in flatten(h)]
-    return linalg.solve(fld, cols, target) is not None
+    return linalg.solve(m.field, cols, target) is not None
+
+
+def rad_square_membership(h, universe):
+    """Whether h lies in the span of composites of non-invertible maps
+    through the listed indecomposable modules: rad² relative to a finite
+    universe.
+
+    :func:`classify_irreducible` no longer uses it.  It stays in the
+    package because the benchmark's layer tracer names it as a target and
+    the tests' slice-component oracle calls it; it moves to ``tests/``
+    once a benchmark change drops that target."""
+    m, n = h.source, h.target
+    maps = []
+    for x in universe:
+        outs = modules.radical_hom(x, n)
+        for a in modules.radical_hom(m, x):
+            maps.extend(modules.compose(b, a) for b in outs)
+    return _in_span(h, maps)
+
+
+def _in_radical_square(h) -> bool:
+    """Whether the radical map ``h`` between indecomposables lies in
+    rad²: whether it factors as u∘f with f minimal left almost split at
+    its source and u radical, or as ι∘u with ι minimal right almost split
+    at a projective target and u radical."""
+    m, n = h.source, h.target
+    meta = m.meta or {}
+    word = meta.get("word")
+    injective = "projective" in meta
+    if word is not None and not injective:
+        try:
+            seq, win = strings.ar_sequence(m.win, word, m.field)
+        except strings.ArInjectiveError:
+            injective = True
+        else:
+            if win is not m.win:
+                h = _reembed_morphism(h, win)
+            if seq.f.source.key() != h.source.key():
+                raise modules.ModuleError(
+                    "%s is not the string module of its word"
+                    % _module_name(m))
+            maps = []
+            for part, _, proj in seq.meta["parts"]:
+                fi = modules.compose(proj, seq.f)
+                maps.extend(modules.compose(r, fi)
+                            for r in modules.radical_hom(part, h.target))
+            return _in_span(h, maps)
+    if injective:
+        # The left almost split map of a projective-injective module.
+        soc_incl = modules.socle(m)[1]
+        kc = modules.kernel_cokernel(soc_incl)
+        return _in_span(h, [modules.compose(r, kc.coker_proj)
+                            for r in modules.radical_hom(kc.coker, n)])
+    if "projective" in (n.meta or {}):
+        # The right almost split map of a projective-injective module.
+        from . import repetitive as _rep
+        rad, incl = _rep.radical_of_projective(n)
+        return _in_span(h, [modules.compose(incl, r)
+                            for r in modules.radical_hom(m, rad)])
+    raise modules.ModuleError(
+        "no almost split map at %s or %s: the source needs a word or a "
+        "projective-injective end" % (_module_name(m), _module_name(n)))
 
 
 def classify_irreducible(h, universe_dim=None, certify=False) -> IrredClass:
@@ -243,20 +297,25 @@ def classify_irreducible(h, universe_dim=None, certify=False) -> IrredClass:
     epi, or split except at a unique degree.  A mixed profile on a
     certified irreducible is impossible and raises.
 
-    With ``certify`` the morphism is first checked not to be split and not
-    to lie in the radical square relative to the string-module universe up
-    to ``universe_dim`` (default twice the larger endpoint dimension).
+    With ``certify`` the morphism between indecomposables is first checked
+    to be neither split nor in rad², exactly.  With 0 → M →f E → τ⁻¹M → 0
+    almost split and N indecomposable, a radical map h: M → N lies in
+    rad²(M, N) exactly when h = u∘f for some u ∈ rad(E, N)
+    (Auslander–Reiten–Smalø, *Representation Theory of Artin Algebras*,
+    Ch. V §5).  The sequence is the hook/cohook sequence of the source's
+    word (:func:`strings.ar_sequence`), almost split by Butler–Ringel
+    (Comm. Algebra 15, 1987).  A projective-injective source uses
+    M → M/soc M instead, and a source without a word but with a window
+    projective target uses rad N ↪ N; anything else raises
+    :class:`modules.ModuleError`.  ``universe_dim`` is accepted and
+    ignored: no universe of test modules is built.
     """
     prof = modules.splitness(h)
     if certify:
         if modules.is_split_mono(h) or modules.is_split_epi(h):
             return IrredClass("not_irreducible", profile=prof,
                               reason="split")
-        bound = universe_dim or 2 * max(h.source.total_dim(),
-                                        h.target.total_dim())
-        universe = strings.decomposition_candidates(h.source.win,
-                                                    h.source.field, bound)
-        if rad_square_membership(h, universe):
+        if _in_radical_square(h):
             return IrredClass("not_irreducible", profile=prof,
                               reason="factors through the radical square")
     if all(mono for mono, _ in prof.values()):
