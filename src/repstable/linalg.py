@@ -114,10 +114,6 @@ def _subtract(dst: dict, f, src: dict, skip: int, fills=None):
                     del dst[k]
 
 
-# Systems with more rows than this index their pivot rows by column.
-_INDEX_ROWS = 32
-
-
 def _eliminate(field, rows):
     """Reduced row echelon form of sparse rows ``{column: nonzero}``, as a
     list of (pivot column, row) sorted by pivot column; zero rows vanish.
@@ -128,13 +124,12 @@ def _eliminate(field, rows):
     eliminated out of the earlier pivot rows, so every pivot row stays
     zero in every other pivot column and starts at its own.
 
-    A small system scans every earlier pivot row for the new pivot
-    column.  A large one keeps ``holders``, from each non-pivot column to
-    the pivot rows that may hold it (a cancelled entry leaves its row
-    listed), and visits only those rows."""
+    ``holders`` maps each non-pivot column to the pivot rows that may hold
+    it (a cancelled entry leaves its row listed), so a new pivot visits
+    only those rows instead of every earlier pivot row."""
     one = field.one()
     pivots = {}
-    holders = {} if len(rows) > _INDEX_ROWS else None
+    holders = {}
     for src in rows:
         row = dict(src)
         for c in [c for c in row if c in pivots]:
@@ -146,23 +141,17 @@ def _eliminate(field, rows):
         if lead != one:
             inv = field.div(one, lead)
             row = {k: x * inv for k, x in row.items()}
-        if holders is None:
-            for prow in pivots.values():
-                f = prow.pop(c, None)
-                if f is not None:
-                    _subtract(prow, f, row, c)
-        else:
-            for k in row:
-                if k != c:
-                    holders.setdefault(k, []).append(c)
-            for pc in holders.pop(c, ()):
-                prow = pivots[pc]
-                f = prow.pop(c, None)
-                if f is not None:
-                    fills = []
-                    _subtract(prow, f, row, c, fills)
-                    for k in fills:
-                        holders[k].append(pc)
+        for k in row:
+            if k != c:
+                holders.setdefault(k, []).append(c)
+        for pc in holders.pop(c, ()):
+            prow = pivots[pc]
+            f = prow.pop(c, None)
+            if f is not None:
+                fills = []
+                _subtract(prow, f, row, c, fills)
+                for k in fills:
+                    holders[k].append(pc)
         pivots[c] = row
     return sorted(pivots.items())
 

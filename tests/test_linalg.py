@@ -183,16 +183,6 @@ def test_kernel_matches_dense_reference(system):
     check_all(field, a, b)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(systems())
-def test_column_index_matches_dense_reference(system):
-    # Only systems with more rows than linalg._INDEX_ROWS index their
-    # pivot rows by column; here every system does.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_INDEX_ROWS", -1)
-        check_all(*system)
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("density", [0.02, 0.05, 0.2, 1.0])
 def test_larger_sparse_systems(field, density):

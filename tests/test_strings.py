@@ -305,7 +305,8 @@ def test_knit_shift_equivariance(a2, field):
 
 def test_mesh_edges_are_irreducible(ex4_win, field):
     # Each component map of a mesh into the decomposed middle is itself
-    # irreducible: certified against the string-module universe.
+    # irreducible: certified exactly from the almost split sequence that
+    # starts at its source.
     comp = strings.knit_component(ex4_win, StringWord("2@0", ()), 3, field)
     checked = 0
     for mesh in comp.meshes:
