@@ -216,15 +216,16 @@ def _write_component(cfg: RunConfig, comp):
     return 0 if not comp.truncated else 1
 
 
-def _finding_record(i, finding):
+def _finding_record(cfg: RunConfig, i, mesh, finding):
     return "\t".join([
-        str(i), finding.start, finding.end,
+        str(i), str(strings.StringWord.decode(mesh.start)),
+        str(strings.StringWord.decode(mesh.end)),
         str(finding.class_h), str(finding.class_hp),
         finding.clause or "VIOLATION",
         "yes" if finding.p_present else "no",
         {True: "yes", False: "no", None: "-"}[finding.lower_simple],
-        "%d..%d" % finding.window,
-        str(finding.universe_dim or "-"),
+        "%d..%d" % mesh.window,
+        str(cfg.universe_dim or "-"),
         "pass" if finding.passed else "; ".join(finding.violations),
     ])
 
@@ -241,13 +242,10 @@ def _write_findings(cfg: RunConfig, comp):
     lines = cfg.header_lines() + [FINDINGS_HEADER]
     all_pass = True
     for i, mesh in enumerate(comp.meshes):
-        tri, phat = stable.ar_triangle_from_sequence(mesh.seq)
         finding = stable.verify_shape_table(
-            tri, phat, universe_dim=cfg.universe_dim,
-            start=str(strings.StringWord.decode(mesh.start)),
-            end=str(strings.StringWord.decode(mesh.end)))
+            *stable.ar_triangle_from_sequence(mesh.seq))
         all_pass = all_pass and finding.passed
-        lines.append(_finding_record(i, finding))
+        lines.append(_finding_record(cfg, i, mesh, finding))
     _write_artifact(cfg.out_dir, "findings.tsv", "\n".join(lines) + "\n")
     print("%d triangles, %s" % (len(comp.meshes),
                                 "all pass" if all_pass else "VIOLATIONS"))

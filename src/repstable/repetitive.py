@@ -176,13 +176,10 @@ class RepetitiveWindow:
                 "monomial", PathWord(src_vertex, tuple(arrow_names))))
 
         for z in range(self.lo, self.hi + 1):
+            # validate_gentle admits only monomial base relations.
             for r in self.base.relations:
-                lifted = self._lift(r.path, z)
-                if r.kind == "monomial":
-                    relations.append(RelationGen("monomial", lifted))
-                else:
-                    relations.append(RelationGen(
-                        "binomial", lifted, self._lift(r.other, z)))
+                relations.append(RelationGen("monomial",
+                                             self._lift(r.path, z)))
 
         for z in range(self.lo, self.hi):
             for p in self.maximal:
@@ -203,11 +200,8 @@ class RepetitiveWindow:
                                      conn_word(p, z) + (self.aname(c.name, z + 1),))
                 # Overlapping suffix/prefix windows of the spiral of p.
                 for a_len in range(1, len(p) + 1):
-                    b_len = len(p) + 1 - a_len
-                    if b_len > len(p):
-                        continue
                     x = p.suffix(a_len, base_q)
-                    y = p.prefix(b_len)
+                    y = p.prefix(len(p) + 1 - a_len)
                     word = (self._lift(x, z).arrows + conn_word(p, z)
                             + self._lift(y, z + 1).arrows)
                     monomial(self.vname(x.source, z), word)

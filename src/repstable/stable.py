@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import linalg, modules, strings
+from . import linalg, modules, repetitive, strings
 
 
 class TrichotomyError(Exception):
@@ -27,13 +27,19 @@ class TheoremViolationError(Exception):
 
 
 def _reembed_morphism(h, win):
+    """``h`` on the window ``win``; ``h`` itself when it is already there."""
+    if h.source.win is win:
+        return h
     src = modules.reembed(h.source, win)
     tgt = modules.reembed(h.target, win)
     return modules.ModuleMorphism(src, tgt, h.blocks)
 
 
 def ensure_module_margin(m):
-    """``m`` on a window with two free degrees around its support."""
+    """``m`` on a window with two free degrees around its support; a zero
+    module is returned as it is."""
+    if m.is_zero():
+        return m
     win = m.win
     for _ in range(10):
         degs = m.support_degrees()
@@ -46,10 +52,7 @@ def ensure_module_margin(m):
 
 
 def ensure_morphism_margin(h):
-    m = ensure_module_margin(h.source)
-    if m.win is h.source.win:
-        return h
-    return _reembed_morphism(h, m.win)
+    return _reembed_morphism(h, ensure_module_margin(h.source).win)
 
 
 # -- factoring through projective-injectives ---------------------------------
@@ -129,8 +132,9 @@ def syzygy(m: "modules.GradedModule"):
 
 def cosyzygy(m: "modules.GradedModule"):
     """(first cosyzygy, defining sequence data); the cokernel of an
-    injective hull embedding.  Projective-injective summands contribute
-    nothing: their hull is themselves."""
+    injective hull embedding, and (m, None) for a zero m.
+    Projective-injective summands contribute nothing: their hull is
+    themselves."""
     if m.is_zero():
         return m, None
     m = ensure_module_margin(m)
@@ -153,42 +157,39 @@ class Triangle:
 
 def triangle_from_ses(seq: "modules.ShortExactSeq") -> Triangle:
     """Distinguished triangle induced by a short exact sequence: the hull
-    sequence of the start term is pushed out along the first map, and the
-    connecting morphism is the induced map on cokernels.  Both squares of
-    the ladder are verified exactly."""
+    sequence of the start term (:func:`cosyzygy`) is pushed out along the
+    first map, and the connecting morphism is the induced map on
+    cokernels.  Both squares of the ladder are verified exactly."""
     rep = modules.check_ses(seq)
     if not rep.global_exact:
         raise modules.ModuleError("not exact: %s" % rep.details)
-    m = ensure_module_margin(seq.f.source)
-    if m.win is not seq.f.source.win:
-        f = _reembed_morphism(seq.f, m.win)
-        g = _reembed_morphism(seq.g, m.win)
-        seq = modules.ShortExactSeq(f, g, seq.meta)
-    hull, iota = modules.injective_hull(seq.f.source)
-    kc = modules.kernel_cokernel(iota)
-    omega, pi = kc.coker, kc.coker_proj
+    omega, hull_seq = cosyzygy(seq.f.source)
+    if hull_seq is None:
+        raise modules.ModuleError("no triangle from a sequence with zero "
+                                  "start")
+    iota, pi = hull_seq["embedding"], hull_seq["projection"]
+    f = _reembed_morphism(seq.f, iota.source.win)
+    g = _reembed_morphism(seq.g, iota.source.win)
 
-    sol = modules.solve_morphisms(iota, [("R", seq.f)])
+    sol = modules.solve_morphisms(iota, [("R", f)])
     if sol is None:
         raise modules.ModuleError("hull embedding does not extend along f")
     umap = sol[0]
     umap.validate()
 
     piu = modules.compose(pi, umap)
-    sol = modules.solve_morphisms(piu, [("R", seq.g)])
+    sol = modules.solve_morphisms(piu, [("R", g)])
     if sol is None:
         raise modules.ModuleError("connecting morphism does not descend")
     hpp = sol[0]
     hpp.validate()
 
     # Exact verification of the ladder squares.
-    if not (modules.compose(umap, seq.f) - iota).is_zero():
+    if not (modules.compose(umap, f) - iota).is_zero():
         raise modules.ModuleError("ladder square u∘f = ι fails")
-    if not (modules.compose(hpp, seq.g) - piu).is_zero():
+    if not (modules.compose(hpp, g) - piu).is_zero():
         raise modules.ModuleError("ladder square h''∘g = π∘u fails")
-    return Triangle(seq.f, seq.g, hpp, omega,
-                    {"hull": hull, "embedding": iota, "projection": pi,
-                     "extension": umap, "seq": seq})
+    return Triangle(f, g, hpp, omega, hull_seq)
 
 
 # -- classification -----------------------------------------------------------
@@ -232,7 +233,9 @@ def _in_span(h, maps) -> bool:
 def rad_square_membership(h, universe):
     """Whether h lies in the span of composites of non-invertible maps
     through the listed indecomposable modules: rad² relative to a finite
-    universe.
+    universe.  It assumes indecomposable ends: :func:`modules.radical_hom`
+    returns the whole Hom space when the dimension vectors differ, so a
+    decomposable target reads "in rad²".
 
     :func:`classify_irreducible` no longer uses it.  It stays in the
     package because the benchmark's layer tracer names it as a target and
@@ -262,18 +265,14 @@ def _in_radical_square(h) -> bool:
         except strings.ArInjectiveError:
             injective = True
         else:
-            if win is not m.win:
-                h = _reembed_morphism(h, win)
+            h = _reembed_morphism(h, win)
             if seq.f.source.key() != h.source.key():
                 raise modules.ModuleError(
                     "%s is not the string module of its word"
                     % _module_name(m))
-            maps = []
-            for part, _, proj in seq.meta["parts"]:
-                fi = modules.compose(proj, seq.f)
-                maps.extend(modules.compose(r, fi)
-                            for r in modules.radical_hom(part, h.target))
-            return _in_span(h, maps)
+            return _in_span(h, [
+                modules.compose(r, fi) for _, fi in seq.meta["components"]
+                for r in modules.radical_hom(fi.target, h.target)])
     if injective:
         # The left almost split map of a projective-injective module.
         soc_incl = modules.socle(m)[1]
@@ -282,8 +281,7 @@ def _in_radical_square(h) -> bool:
                             for r in modules.radical_hom(kc.coker, n)])
     if "projective" in (n.meta or {}):
         # The right almost split map of a projective-injective module.
-        from . import repetitive as _rep
-        rad, incl = _rep.radical_of_projective(n)
+        rad, incl = repetitive.radical_of_projective(n)
         return _in_span(h, [modules.compose(incl, r)
                             for r in modules.radical_hom(m, rad)])
     raise modules.ModuleError(
@@ -352,11 +350,9 @@ def _stably_solvable(rhs, side, known, iota) -> bool:
     taken after :func:`ensure_module_margin`, whose window the maps are
     moved to."""
     win = iota.source.win
-    if win is not rhs.source.win:
-        rhs = _reembed_morphism(rhs, win)
-        known = _reembed_morphism(known, win)
     return modules.solve_morphisms(
-        rhs, [(side, known), ("R", iota)]) is not None
+        _reembed_morphism(rhs, win),
+        [(side, _reembed_morphism(known, win)), ("R", iota)]) is not None
 
 
 def _module_name(x) -> str:
@@ -451,16 +447,16 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     start the radical and the end the socle quotient of that projective.
     The middle term's summands are the ones the sequence was built from
     (:func:`strings.ar_sequence`)."""
-    from . import repetitive as _rep
     win = seq.f.source.win
     fld = seq.f.source.field
     proj_parts = []
-    free_parts = []
-    for (info, _), part in zip(seq.meta["components"], seq.meta["parts"]):
+    free_parts = []     # (edge map M -> summand, inclusion into the middle)
+    for (info, comp), (_, incl, _) in zip(seq.meta["components"],
+                                          seq.meta["parts"]):
         if info["projective_at"] is not None:
             proj_parts.append(info["projective_at"])
         else:
-            free_parts.append(part)
+            free_parts.append((comp, incl))
     if len(proj_parts) > 1:
         raise TheoremViolationError(
             "middle term has %d projective summands" % len(proj_parts))
@@ -470,8 +466,8 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
     if proj_parts:
         v, z = proj_parts[0]
         phat = win.projective(v, z, fld)
-        radm, _ = _rep.radical_of_projective(phat)
-        quot, _ = _rep.quotient_by_socle(phat)
+        radm, _ = repetitive.radical_of_projective(phat)
+        quot, _ = repetitive.quotient_by_socle(phat)
         iso_start = modules.find_isomorphism(seq.f.source, radm)
         iso_end = modules.find_isomorphism(seq.g.target, quot)
         if iso_start is None:
@@ -483,13 +479,13 @@ def ar_triangle_from_sequence(seq: "modules.ShortExactSeq"):
 
     if not free_parts:
         raise TheoremViolationError("middle term is entirely projective")
-    free_mods = [s for s, _, _ in free_parts]
-    free_sum, fincls, fprojs = modules.direct_sum(free_mods)
-    h_free = sum((modules.compose(fincl, modules.compose(proj, seq.f))
-                  for (_, _, proj), fincl in zip(free_parts, fincls)),
+    free_sum, fincls, fprojs = modules.direct_sum(
+        [comp.target for comp, _ in free_parts])
+    h_free = sum((modules.compose(fincl, comp)
+                  for (comp, _), fincl in zip(free_parts, fincls)),
                  modules.ModuleMorphism(seq.f.source, free_sum, {}))
     hp_free = sum((modules.compose(modules.compose(seq.g, incl), fproj)
-                   for (_, incl, _), fproj in zip(free_parts, fprojs)),
+                   for (_, incl), fproj in zip(free_parts, fprojs)),
                   modules.ModuleMorphism(free_sum, seq.g.target, {}))
     tri = Triangle(h_free, hp_free, tri_full.hpp, tri_full.omega,
                    dict(tri_full.data, free_parts=len(free_parts)))
@@ -515,15 +511,10 @@ class Finding:
     p_present: bool
     lower_simple: Optional[bool]
     upper_simple: Optional[bool]
-    start: str
-    end: str
-    window: tuple
-    universe_dim: Optional[int]
     violations: list = field(default_factory=list)
 
 
-def verify_shape_table(tri: Triangle, phat_info=None, universe_dim=None,
-                       start="", end="") -> Finding:
+def verify_shape_table(tri: Triangle, phat_info=None) -> Finding:
     """Classify both irreducible maps of an almost split triangle and check
     the admissible shape pairs, the projective dichotomy and the simple
     injective condition in the split-epi case."""
@@ -559,5 +550,4 @@ def verify_shape_table(tri: Triangle, phat_info=None, universe_dim=None,
                 % (expected, chp.kind))
     return Finding(not violations, clause, ch, chp,
                    phat_info is not None, lower_simple, upper_simple,
-                   start, end, (win.lo, win.hi), universe_dim,
                    violations)

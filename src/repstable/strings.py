@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg, modules
+from . import linalg, modules, repetitive
 
 
 class StringError(Exception):
@@ -473,8 +473,7 @@ def ar_sequence(win, w: StringWord, fieldobj):
     if biserial_at is not None:
         v, z = biserial_at
         phat = win.projective(v, z, fieldobj)
-        from . import repetitive as _rep
-        radm, rad_incl = _rep.radical_of_projective(phat)
+        radm, rad_incl = repetitive.radical_of_projective(phat)
         iso = modules.find_isomorphism(m, radm)
         if iso is None:
             raise StringError("word is not isomorphic to the biserial radical")
@@ -559,7 +558,6 @@ class ARQuiverComponent:
     nodes: dict                # canonical encoding -> StringWord
     meshes: list
     edges: list                # (src enc, dst enc, label or None)
-    tau: list                  # (start enc, end enc)
     truncated: bool = False
 
 
@@ -573,7 +571,6 @@ def knit_component(win, seed: StringWord, steps: int, fieldobj,
     nodes = {canonical(seed, ctx.quiver): seed}
     meshes = []
     edges = []
-    tau = []
     queue = [canonical(seed, ctx.quiver)]
     meshed = set()
     truncated = False
@@ -610,11 +607,10 @@ def knit_component(win, seed: StringWord, steps: int, fieldobj,
         for cenc, emap in zip(stable_middles, edge_maps):
             label = classifier(emap) if classifier is not None else None
             edges.append((enc, cenc, label))
-        tau.append((enc, end_enc))
         meshes.append(MeshRecord(enc, stable_middles,
                                  seq.meta["projective"], end_enc,
                                  edge_maps, seq, (cur_win.lo, cur_win.hi)))
-    return ARQuiverComponent(cur_win, nodes, meshes, edges, tau, truncated)
+    return ARQuiverComponent(cur_win, nodes, meshes, edges, truncated)
 
 
 # -- component export ----------------------------------------------------------
@@ -652,9 +648,8 @@ def component_dot(comp: ARQuiverComponent) -> str:
             x = parent[x]
         return x
 
-    for a, b in comp.tau:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
+    for mesh in comp.meshes:
+        parent[find(mesh.start)] = find(mesh.end)
     groups = {}
     for enc in order:
         groups.setdefault(find(enc), []).append(enc)

@@ -1,20 +1,26 @@
-"""The benchmark reaches into the package in two ways, and both are
-checked here: a renamed or deleted function, or a dropped keyword, makes
-every benchmark run fail while the rest of this suite still passes.
+"""The benchmark reaches into the package in three ways, and all are
+checked here: a renamed or deleted function, a dropped keyword or a
+dropped record field makes every benchmark run fail while the rest of
+this suite still passes.
 
 * The layer tracer wraps package functions by name
   (``perfbench/tracing.py``, ``TARGETS``).
 * The workloads call package functions with fixed arguments
   (``perfbench/workloads.py``).
+* The workloads read fields of what those calls return
+  (``mesh.edge_maps``, ``comp.truncated``, ``f.class_h``, ...).
 
-The benchmark files are only read: the tracer is loaded from its file,
-and the workloads are parsed, not imported."""
+The benchmark files are not edited: the tracer and the workloads are
+loaded from their files, and the workloads are also parsed."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import sys
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -25,6 +31,16 @@ WORKLOADS = os.path.join(PERFBENCH, "workloads.py")
 def load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -89,3 +105,16 @@ def test_workload_calls_bind():
         inspect.signature(fn).bind(*node.args,
                                    **{kw.arg: kw.value
                                       for kw in node.keywords})
+
+
+@pytest.mark.parametrize("name", ["twoloop-triangles", "ar-oracle",
+                                  "certify-edges"])
+def test_tiny_workload_checks_ok(name):
+    # One untimed pass of the tiny job, as the benchmark runs it: setup,
+    # prepare, every operation, then the workload's own check.
+    wl = load_workloads().WORKLOADS[name](tiny=True)
+    state = wl.setup()
+    results = {op.key: op.run() for op in wl.prepare(state, None)}
+    checked = wl.check(state, results, None)
+    assert results and set(checked) == set(results)
+    assert [key for key, (_, ok) in checked.items() if not ok] == []

@@ -352,7 +352,12 @@ def slice_component_irreducible(h, z, universe_len):
     ``universe_len`` letters (the paper's "exactly one irreducible
     component").  The base string modules are the degree-z slices of the
     window string modules that lie in degree z: a ↦ a@z lifts the base
-    words one-to-one onto the window words of that degree."""
+    words one-to-one onto the window words of that degree.
+
+    It assumes indecomposable ends: :func:`modules.radical_hom` returns the
+    whole Hom space when the dimension vectors differ, so for a
+    decomposable target the split inclusions fall in the span and every
+    map reads "in rad²"."""
     hz = h.slice(z)
     if modules.is_split_mono(hz) or modules.is_split_epi(hz):
         return False
@@ -393,3 +398,88 @@ def test_slice_certificate_rejects_reducible(a2_win, field):
     z = a2_win.degree(sr.soc.sorted_support()[0])
     assert not slice_component_irreducible(sr.soc_incl, z,
                                                   universe_len=5)
+
+
+# -- inputs that each check must reject ----------------------------------------
+
+@pytest.fixture
+def a2_triangle(a2_win, field):
+    seq, _ = strings.ar_sequence(
+        a2_win, StringWord("2@1", (("hat_a@1", 1),)), field)
+    return stable.ar_triangle_from_sequence(seq)[0]
+
+
+# (class of h, class of h', projective at, the one violation).  P(1@1) has
+# a 2-dimensional lower part and a simple upper part, P(2@1) a simple lower
+# part and a 2-dimensional upper part.
+SHAPE_VIOLATIONS = [
+    ("smonic", "smonic", None,
+     "pair (smonic, smonic) is not an admissible cell"),
+    ("sirreducible", "smonic", "1",
+     "projective dichotomy predicts sirreducible, found smonic"),
+    ("sirreducible", "sirreducible", "2",
+     "projective dichotomy predicts smonic, found sirreducible"),
+    ("sepic", "sirreducible", "2",
+     "split-epi start but the injective part is not simple"),
+    ("smonic", "sepic", "1",
+     "split-mono start with a projective middle summand"),
+]
+
+
+@pytest.mark.parametrize("kind_h,kind_hp,proj_at,violation",
+                         SHAPE_VIOLATIONS)
+def test_shape_table_rejects(a2_win, field, a2_triangle, monkeypatch,
+                             kind_h, kind_hp, proj_at, violation):
+    tri = a2_triangle
+    classes = {id(tri.h): stable.IrredClass(kind_h, degree=1),
+               id(tri.hp): stable.IrredClass(kind_hp, degree=1)}
+    monkeypatch.setattr(stable, "classify_irreducible",
+                        lambda h: classes[id(h)])
+    phat_info = None
+    if proj_at is not None:
+        phat_info = {"module": a2_win.projective(proj_at, 1, field),
+                     "degree": 1}
+    finding = stable.verify_shape_table(tri, phat_info)
+    assert not finding.passed
+    assert finding.violations == [violation]
+
+
+def _unlinked(win, field, dims):
+    """A module supported on vertices no arrow joins."""
+    return modules.GradedModule(win, field, dims, {})
+
+
+@pytest.mark.parametrize("blocks", [
+    {"1@1": [[1], [0]], "1@2": [[1, 0]]},   # split mono, then split epi
+    {},                                      # non-split in both degrees
+])
+def test_mixed_profile_raises(a2_win, field, blocks):
+    src = _unlinked(a2_win, field, {"1@1": 1, "1@2": 2})
+    tgt = _unlinked(a2_win, field, {"1@1": 2, "1@2": 1})
+    if not blocks:
+        tgt = src
+    with pytest.raises(stable.TrichotomyError):
+        stable.classify_irreducible(modules.ModuleMorphism(src, tgt, blocks))
+
+
+def test_art2_fails_on_a_split_sequence(a2_win, field):
+    m = modules.simple_module(a2_win, field, "2@2")
+    n = modules.simple_module(a2_win, field, "2@1")
+    total, incls, projs = modules.direct_sum([m, n])
+    rep = stable.check_ar_axioms(modules.ShortExactSeq(incls[0], projs[1]),
+                                 [])
+    assert rep.art2 is False
+
+
+def test_zero_start(a2_win, field):
+    zero = _unlinked(a2_win, field, {})
+    assert stable.ensure_module_margin(zero) is zero
+    assert stable.cosyzygy(zero) == (zero, None)
+    n = modules.simple_module(a2_win, field, "2@1")
+    h = modules.ModuleMorphism(zero, n, {})
+    hull, iota, descent = stable.factor_through_projinj(h)
+    assert hull is zero and (modules.compose(descent, iota) - h).is_zero()
+    seq = modules.ShortExactSeq(h, modules.identity_morphism(n))
+    assert modules.check_ses(seq).global_exact
+    with pytest.raises(modules.ModuleError, match="zero start"):
+        stable.triangle_from_ses(seq)
