@@ -307,8 +307,9 @@ class RepetitiveWindow:
         window's binomial relation keeps, and the other is identified with
         it.  So every window relation holds by construction.  ``meta``
         holds the top ``(v, z)`` (``"projective"``), the basis paths
-        (``"basis"``) and the socle basis position ``(vertex, index)``
-        (``"socle"``), certified here to span the module's socle."""
+        (``"basis"``) and their targets (``"positions"``), and the socle
+        basis position ``(vertex, index)`` (``"socle"``), certified here to
+        span the module's socle."""
         if not (self.lo <= z and z + 1 <= self.hi):
             raise WindowError("degree %d (and %d) must lie in the window"
                               % (z, z + 1))
@@ -335,6 +336,8 @@ class RepetitiveWindow:
         mod = modules.GradedModule(self, field, dims, acts,
                                    meta={"projective": (v, z),
                                          "basis": tuple(basis),
+                                         "positions": [p.target(quiver)
+                                                       for p in basis],
                                          "socle": (sv, index)})
         mod.validate()
         soc, soc_incl = modules.socle(mod)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg, modules, repetitive
+from . import linalg, modules
 
 
 class StringError(Exception):
@@ -215,27 +215,18 @@ def _build_string_module(win, w: StringWord, fieldobj):
     return mod
 
 
-def _position_morphism(src_mod, tgt_mod, pos_map, quiver):
-    """Morphism sending basis position ``i`` of the source to position
-    ``pos_map[i]`` of the target (or to zero when absent)."""
+def _position_morphism(src_mod, tgt_mod, pos_map, sign=1):
+    """Morphism sending basis position ``i`` of the source to ``sign``
+    times position ``pos_map[i]`` of the target (or to zero when absent);
+    ``meta["positions"]`` holds each module's position vertices."""
+    src, tgt = src_mod.meta["positions"], tgt_mod.meta["positions"]
+    col = [src[:i].count(v) for i, v in enumerate(src)]  # index at vertex
+    row = [tgt[:t].count(v) for t, v in enumerate(tgt)]
     fld = src_mod.field
-    src_pos = src_mod.meta["positions"]
-    tgt_pos = tgt_mod.meta["positions"]
-    src_at, tgt_at = {}, {}
-    for i, v in enumerate(src_pos):
-        src_at.setdefault(v, []).append(i)
-    for i, v in enumerate(tgt_pos):
-        tgt_at.setdefault(v, []).append(i)
-    blocks = {}
-    for v, cols in src_at.items():
-        if v not in tgt_at:
-            continue
-        blk = linalg.zeros(fld, len(tgt_at[v]), len(cols))
-        for j, i in enumerate(cols):
-            t = pos_map.get(i)
-            if t is not None:
-                blk[tgt_at[tgt_pos[t]].index(t)][j] = fld.one()
-        blocks[v] = blk
+    blocks = {v: linalg.zeros(fld, tgt_mod.dim(v), d)
+              for v, d in src_mod.dims.items() if tgt_mod.dim(v)}
+    for i, t in pos_map.items():
+        blocks[src[i]][row[t]][col[i]] = fld.of_int(sign)
     return modules.ModuleMorphism(src_mod, tgt_mod, blocks)
 
 
@@ -430,9 +421,10 @@ def ar_sequence(win, w: StringWord, fieldobj):
 
     The middle is assembled from the two end surgeries (plus the whole
     projective when the input is the radical of a biserial projective,
-    whose cover cannot be reached by word surgery); the end term is the
-    exact cokernel, certified isomorphic to a surgery-predicted word
-    (:class:`StringError` when it is none of them).
+    whose cover cannot be reached by word surgery).  The end term is the
+    string module of the pushout word and g is made of position maps
+    (:func:`_pushout`); the sequence is certified exact by
+    :func:`modules.check_ses` (:class:`StringError` when it is not).
     ``meta["parts"]`` keeps, in the order of ``meta["components"]``, each
     middle summand with its inclusion into and projection from the middle.
     """
@@ -451,8 +443,6 @@ def ar_sequence(win, w: StringWord, fieldobj):
 
     m = string_module(win, w, fieldobj)
 
-    biserial_at = bis.get(canon)
-
     right = surgery_right(ctx, w)
     forbid = frozenset()
     if right is not None and right.kind == "hook" and not w.letters:
@@ -460,49 +450,35 @@ def ar_sequence(win, w: StringWord, fieldobj):
     left = surgery_left(ctx, w, forbid_hooks=forbid)
 
     summands = []      # (module, map M -> summand, info dict)
-    for side, s in (("left", left), ("right", right)):
-        if s is None:
-            continue
-        smod = string_module(win, s.word, fieldobj)
-        comp = _position_morphism(m, smod, s.pos_map, ctx.quiver)
-        info = {"word": canonical_word(s.word, ctx.quiver),
-                "kind": s.kind,
-                "projective_at": uni.get(canonical(s.word, ctx.quiver))}
-        summands.append((smod, comp, info))
-
-    if biserial_at is not None:
-        v, z = biserial_at
+    for s in (left, right):
+        if s is not None:
+            smod = string_module(win, s.word, fieldobj)
+            summands.append((smod, _position_morphism(m, smod, s.pos_map),
+                             {"word": canonical_word(s.word, ctx.quiver),
+                              "projective_at": uni.get(
+                                  canonical(s.word, ctx.quiver))}))
+    proj = None
+    if canon in bis:
+        v, z = bis[canon]
         phat = win.projective(v, z, fieldobj)
-        radm, rad_incl = repetitive.radical_of_projective(phat)
-        iso = modules.find_isomorphism(m, radm)
-        if iso is None:
-            raise StringError("word is not isomorphic to the biserial radical")
-        summands.append((phat, modules.compose(rad_incl, iso),
-                         {"word": None, "kind": "projective",
-                          "projective_at": (v, z)}))
+        proj = (win.socle_paths(v, z), phat.meta["basis"])
+    end_word, g_maps, into = _pushout(ctx, w, left, right, proj)
+    if proj is not None:
+        summands.append((phat, _position_morphism(m, phat, into),
+                         {"word": None, "projective_at": (v, z)}))
 
-    if not summands:
-        raise StringError("no surgery applies to %s" % w)
-
+    end = string_module(win, end_word, fieldobj)
     mods = [sm for sm, _, _ in summands]
     middle, incls, projs = modules.direct_sum(mods)
     f = sum((modules.compose(incl, comp)
              for (_, comp, _), incl in zip(summands, incls)),
             modules.ModuleMorphism(m, middle, {}))
-    f.validate()
-    if f.rank() != m.total_dim():
-        raise StringError("combined almost split map is not injective")
-    kc = modules.kernel_cokernel(f)
-    end_mod, g = kc.coker, kc.coker_proj
-
-    for predicted in _predict_end(ctx, w):
-        pred_mod = string_module(win, predicted, fieldobj)
-        if modules.find_isomorphism(pred_mod, end_mod) is not None:
-            end_word = canonical_word(predicted, ctx.quiver)
-            break
-    else:
-        raise StringError("the cokernel of the sequence starting at %s is "
-                          "none of its predicted end words" % w)
+    g = sum((modules.compose(_position_morphism(sm, end, pm, sign), pr)
+             for sm, (pm, sign), pr in zip(mods, g_maps, projs)),
+            modules.ModuleMorphism(middle, end, {}))
+    if not modules.check_ses(modules.ShortExactSeq(f, g)).global_exact:
+        raise StringError("the pushout sequence starting at %s is not exact"
+                          % w)
 
     proj_at = [info["projective_at"] for _, _, info in summands
                if info["projective_at"] is not None]
@@ -513,30 +489,69 @@ def ar_sequence(win, w: StringWord, fieldobj):
         "middle_words": [info["word"] for _, _, info in summands
                          if info["word"] is not None],
         "projective": proj_at[0] if proj_at else None,
-        "end_word": end_word,
+        "end_word": canonical_word(end_word, ctx.quiver),
         "window": (win.lo, win.hi),
     }
     return modules.ShortExactSeq(f, g, meta), win
 
 
-def _predict_end(ctx, w):
-    """Candidate end-of-sequence words: both surgeries applied in
-    sequence, in either order, re-evaluating availability after the
-    first.  Candidates are certified against the exact cokernel."""
-    results = []
-    for order in ("rl", "lr"):
-        cur = w
-        for stage in order:
-            if stage == "r":
-                s = surgery_right(ctx, cur)
-            else:
-                s = surgery_left(ctx, cur)
-            if s is not None:
-                cur = s.word
-        enc = canonical(cur, ctx.quiver)
-        if enc not in [canonical(r, ctx.quiver) for r in results]:
-            results.append(StringWord.decode(enc))
-    return results
+def _pushout(ctx, w: StringWord, left, right, proj=None):
+    """(N, g_maps, into): the end word N of the almost split sequence
+    starting at M(w), the pushout of its middle along M(w) (Butler–Ringel,
+    Comm. Algebra 15, 1987); per middle summand (the surgeries, left
+    first, then the projective) the position map onto N and its sign in
+    g; and, when ``proj`` = (socle paths, basis paths) names the biserial
+    projective P whose radical is M(w), the position map M(w) → P (else
+    None).  Positions without an image map to zero.
+
+    - Two surgeries both keep the positions [a, b] of w.  N is w_l up to
+      k = pos_l[a] + b − a followed by w_r after b, and g is (−π_l, +π_r)
+      with π_l: j ↦ j for j ≤ k and π_r: i ↦ i − b + k for i ≥ a.
+    - One surgery must be a hook.  N is its direct run after the inverse
+      letter, the positions that w misses, and g is +π onto it.
+    - The radical of P, socle paths down < up (by arrows), is
+      down[1:]·up[1:]⁻¹ in one of its orientations (told by its letters),
+      and N is P/soc P = (down[:-1])⁻¹·up[:-1].  Each position of w and of
+      N is a path of P: P maps onto N by its basis paths (sign +1), and
+      each middle through the paths of its positions (sign −1)."""
+    surgeries = [s for s in (left, right) if s is not None]
+    if proj is not None:
+        paths, basis = proj
+        down, up = sorted(paths, key=lambda p: p.arrows)
+        at = ([down.prefix(i) for i in range(1, len(down) + 1)]
+              + [up.prefix(i) for i in range(len(up) - 1, 0, -1)])
+        if w.letters != (tuple((a, 1) for a in down.arrows[1:])
+                         + tuple((a, -1) for a in reversed(up.arrows[1:]))):
+            at.reverse()
+        nu = {down.prefix(i): len(down) - 1 - i for i in range(len(down))}
+        nu.update({up.prefix(i): len(down) - 1 + i for i in range(len(up))})
+        index = {p: t for t, p in enumerate(basis)}
+        socle = index.get(down, index.get(up))
+        end = StringWord(down.prefix(len(down) - 1).target(ctx.quiver),
+                         tuple((a, -1) for a in reversed(down.arrows[:-1]))
+                         + tuple((a, 1) for a in up.arrows[:-1]))
+        g_maps = [({s.pos_map[i]: nu[at[i]] for i in s.pos_map
+                    if at[i] in nu}, -1) for s in surgeries]
+        g_maps.append(({t: nu[p] for t, p in enumerate(basis) if p in nu}, 1))
+        return end, g_maps, {i: index.get(p, socle) for i, p in enumerate(at)}
+    if len(surgeries) == 2:
+        kept = sorted(left.pos_map.keys() & right.pos_map.keys())
+        if kept:
+            a, b = kept[0], kept[-1]
+            k = left.pos_map[a] + b - a
+            end = StringWord(left.word.source,
+                             left.word.letters[:k] + right.word.letters[b:])
+            return end, [({j: j for j in range(k + 1)}, -1),
+                         ({i: i - b + k
+                           for i in range(a, len(right.word) + 1)}, 1)], None
+    elif surgeries and surgeries[0].kind == "hook":
+        s = surgeries[0]
+        free = sorted(set(range(len(s.word) + 1)) - set(s.pos_map.values()))
+        lo, hi = free[0], free[-1]
+        end = StringWord(s.word.positions(ctx.quiver)[lo],
+                         s.word.letters[lo:hi])
+        return end, [({j: j - lo for j in free}, 1)], None
+    raise StringError("the surgeries of %s have no pushout" % w)
 
 
 # -- component knitting -------------------------------------------------------

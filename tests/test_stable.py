@@ -444,6 +444,31 @@ def test_shape_table_rejects(a2_win, field, a2_triangle, monkeypatch,
     assert finding.violations == [violation]
 
 
+@pytest.mark.parametrize("call,square", [
+    (0, "ladder square u∘f = ι fails"),
+    (1, "ladder square h''∘g = π∘u fails"),
+], ids=["u-solve", "hpp-solve"])
+def test_ladder_squares_reject_a_zero_solution(a2_win, field, monkeypatch,
+                                               call, square):
+    # With the hull cached by a first call, triangle_from_ses solves for u
+    # and then for h''; a zero solution must fail its own ladder square.
+    seq, _ = strings.ar_sequence(a2_win, StringWord("1@1", ()), field)
+    stable.triangle_from_ses(seq)
+    solve, calls = modules.solve_morphisms, []
+
+    def zero_on_call(rhs, terms):
+        sol = solve(rhs, terms)
+        calls.append(rhs)
+        if len(calls) - 1 == call:
+            return [modules.ModuleMorphism(x.source, x.target, {})
+                    for x in sol]
+        return sol
+
+    monkeypatch.setattr(modules, "solve_morphisms", zero_on_call)
+    with pytest.raises(modules.ModuleError, match=square):
+        stable.triangle_from_ses(seq)
+
+
 def _unlinked(win, field, dims):
     """A module supported on vertices no arrow joins."""
     return modules.GradedModule(win, field, dims, {})

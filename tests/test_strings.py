@@ -227,13 +227,26 @@ def test_ar_sequence_rejects_projectives(a2_win, field):
         strings.ar_sequence(a2_win, w, field)
 
 
-def test_ar_sequence_rejects_an_unpredicted_cokernel(a3, field,
-                                                    monkeypatch):
-    # With the start word as the only prediction, no predicted end word is
-    # isomorphic to the cokernel, and nothing else is searched.
-    monkeypatch.setattr(strings, "_predict_end", lambda ctx, w: [w])
+def _first_sign_flipped(pushout):
+    def broken(*args):
+        end, g_maps, into = pushout(*args)
+        (pos_map, sign), rest = g_maps[0], g_maps[1:]
+        return end, [(pos_map, -sign)] + rest, into
+    return broken
+
+
+@pytest.mark.parametrize("broken", [
+    _first_sign_flipped,
+    lambda pushout: lambda ctx, w, *rest: (w, [], None),
+], ids=["one-sign-flipped", "start-word-as-end"])
+def test_ar_sequence_rejects_an_inexact_pushout(a3, field, monkeypatch,
+                                                broken):
+    # The sequence at 2@1 has two middles; a wrong sign on one of them, or
+    # the start word as the end with g zero, is not exact, and the
+    # certificate names the word.
+    monkeypatch.setattr(strings, "_pushout", broken(strings._pushout))
     win = build_repetitive_window(a3, 0, 3)
-    with pytest.raises(strings.StringError, match="2@1"):
+    with pytest.raises(strings.StringError, match="2@1.*not exact"):
         strings.ar_sequence(win, StringWord("2@1", ()), field)
 
 
@@ -270,15 +283,32 @@ def test_ar_sequence_42_middle(ex4_win, field):
     assert seq.meta["projective"] == ("3", 0)
 
 
-def test_end_term_matches_cokernel(ex4_win, field):
-    # The surgery-predicted end word is certified against the exact
-    # cokernel inside ar_sequence; assert the certificate explicitly.
-    for w in [StringWord("1@0", ()),
-              StringWord("2@0", (("hat_alpha@0", 1),)),
-              StringWord("3@0", ())]:
-        seq, win = strings.ar_sequence(ex4_win, w, field)
-        end = strings.string_module(win, seq.meta["end_word"], field)
-        assert modules.find_isomorphism(end, seq.g.target) is not None
+def test_end_term_matches_cokernel():
+    # On every interior word of length at most 4, the end is the module of
+    # the end word and the linear cokernel of f up to isomorphism (exact,
+    # since the end is indecomposable); both maps are module maps and the
+    # sequence is exact.
+    done = biserial = 0
+    for fld in (QQ, PrimeField(2)):
+        for win in _test_windows():
+            for w in strings.enumerate_strings(win, 4):
+                try:
+                    seq, big = strings.ar_sequence(win, w, fld)
+                except strings.ArInjectiveError:
+                    continue
+                assert strings.canonical_word(
+                    seq.g.target.meta["word"],
+                    big.presentation.quiver) == seq.meta["end_word"]
+                seq.f.validate()
+                seq.g.validate()
+                coker = modules.kernel_cokernel(seq.f).coker
+                assert modules.find_isomorphism(seq.g.target,
+                                                coker) is not None, str(w)
+                assert modules.check_ses(seq).global_exact, str(w)
+                done += 1
+                biserial += any(info["word"] is None
+                                for info, _ in seq.meta["components"])
+    assert (done, biserial) == (404, 12)
 
 
 def test_knit_zero_steps(ex4_win, field):
